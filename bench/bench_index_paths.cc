@@ -18,15 +18,22 @@
 //   bench_index_paths --json <file>    also write the rows as JSON (the
 //                                      BENCH_engine.json baseline format)
 //
+// A second table prices single engine operations in ns/op, with the host
+// stamp, on the migrate-shaped COMPANY database: Store::Get, GetField on an
+// actual and on a virtual field, and a key-sorted StoreRecord into
+// occurrences of 64 (DIV-EMP) and 1540 (ALL-DIV) members.
+//
 // Like E10 this is a plain table program: op counts are deterministic,
 // and wall time is reported per-workload rather than via google-benchmark
 // because the interesting ratio (indexed vs. scan) spans orders of
 // magnitude that timing harness repetition would only slow down.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -241,6 +248,129 @@ Row MeasureRow(Database* db, const std::string& name, int n,
   return row;
 }
 
+// --- per-operation costs ----------------------------------------------------
+//
+// testing::CompanyDdl is the migrate shape: ALL-DIV sorted by DIV-NAME,
+// DIV-EMP sorted by EMP-NAME, and EMP.DIV-NAME virtual via DIV-EMP. The
+// instance has 1540 divisions, `emp_divisions` of them with 64 employees
+// (all of them at full size: 100,100 records). Reads run over every record
+// in a fixed shuffled order, best of 5 passes. Sorted stores add members in
+// key order, as a copy does, so each one scans its whole occurrence: one
+// new EMP per populated division (64 members each), then 64 new DIVs into
+// ALL-DIV (1540 growing to 1603 members).
+
+constexpr int kPerOpDivisions = 1540;
+constexpr int kPerOpEmpsPerDiv = 64;
+volatile size_t g_sink = 0;  // keeps the timed reads from being elided
+
+double NsSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+/// Best-of-`passes` ns per call of `op` over `ids`.
+template <typename Op>
+double ReadNsPerOp(const std::vector<RecordId>& ids, int passes, Op op) {
+  double best = 0;
+  for (int p = 0; p < passes; ++p) {
+    auto start = std::chrono::steady_clock::now();
+    for (RecordId id : ids) op(id);
+    double ns = NsSince(start) / static_cast<double>(ids.size());
+    if (p == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+int RunPerOp(bool smoke) {
+  const int emp_divisions = smoke ? 16 : kPerOpDivisions;
+  Database db = testing::MakeDatabase(testing::CompanyDdl());
+  std::vector<RecordId> divs;
+  char name[32];
+  for (int d = 0; d < kPerOpDivisions; ++d) {
+    std::snprintf(name, sizeof(name), "DIV-%04d", d);
+    divs.push_back(bench::Value(
+        db.StoreRecord({"DIV", {{"DIV-NAME", Value::String(name)}}, {}}),
+        "store DIV"));
+  }
+  for (int d = 0; d < emp_divisions; ++d) {
+    for (int e = 0; e < kPerOpEmpsPerDiv; ++e) {
+      std::snprintf(name, sizeof(name), "E%05d-%04d", d, e);
+      bench::Check(db.StoreRecord({"EMP",
+                                   {{"EMP-NAME", Value::String(name)},
+                                    {"AGE", Value::Int(20 + e % 45)}},
+                                   {{"DIV-EMP", divs[d]}}})
+                       .status(),
+                   "store EMP");
+    }
+  }
+  std::vector<RecordId> all = db.raw_store().AllRecords();
+  const size_t records = all.size();
+  std::vector<RecordId> emps = db.AllOfType("EMP");
+  std::mt19937_64 rng(11);
+  std::shuffle(all.begin(), all.end(), rng);
+  std::shuffle(emps.begin(), emps.end(), rng);
+
+  struct OpRow {
+    const char* operation;
+    size_t ops;
+    double ns;
+  };
+  std::vector<OpRow> rows;
+  const Store& store = db.raw_store();
+  size_t sink = 0;  // published through g_sink so no read is elided
+  rows.push_back({"Store::Get", all.size(),
+                  ReadNsPerOp(all, 5, [&](RecordId id) {
+                    sink += store.Get(id)->fields.size();
+                  })});
+  rows.push_back({"GetField actual (EMP.AGE)", emps.size(),
+                  ReadNsPerOp(emps, 5, [&](RecordId id) {
+                    sink += db.GetField(id, "AGE").ok();
+                  })});
+  rows.push_back({"GetField virtual (EMP.DIV-NAME)", emps.size(),
+                  ReadNsPerOp(emps, 5, [&](RecordId id) {
+                    sink += db.GetField(id, "DIV-NAME").ok();
+                  })});
+  {
+    auto start = std::chrono::steady_clock::now();
+    for (int d = 0; d < emp_divisions; ++d) {
+      std::snprintf(name, sizeof(name), "E%05d-%04d", d, kPerOpEmpsPerDiv);
+      bench::Check(db.StoreRecord({"EMP",
+                                   {{"EMP-NAME", Value::String(name)}},
+                                   {{"DIV-EMP", divs[d]}}})
+                       .status(),
+                   "store EMP");
+    }
+    rows.push_back({"StoreRecord sorted, 64 members",
+                    static_cast<size_t>(emp_divisions),
+                    NsSince(start) / emp_divisions});
+  }
+  {
+    constexpr int kStores = 64;
+    auto start = std::chrono::steady_clock::now();
+    for (int d = 0; d < kStores; ++d) {
+      std::snprintf(name, sizeof(name), "DIV-%04d", kPerOpDivisions + d);
+      bench::Check(
+          db.StoreRecord({"DIV", {{"DIV-NAME", Value::String(name)}}, {}})
+              .status(),
+          "store DIV");
+    }
+    rows.push_back({"StoreRecord sorted, 1540 members",
+                    static_cast<size_t>(kStores), NsSince(start) / kStores});
+  }
+
+  std::printf("\nE11 per-operation costs: %d divisions, %d of them with %d "
+              "EMP (%zu records)\nhost: %s\n%-34s %8s %10s\n",
+              kPerOpDivisions, emp_divisions, kPerOpEmpsPerDiv, records,
+              bench::HostStamp().c_str(), "operation", "ops", "ns/op");
+  for (const OpRow& row : rows) {
+    std::printf("%-34s %8zu %10.1f\n", row.operation, row.ops, row.ns);
+  }
+  g_sink = sink;
+  return 0;
+}
+
 int RunAll(bool smoke, const std::string& json_path) {
   std::vector<int> sizes =
       smoke ? std::vector<int>{1000} : std::vector<int>{100, 1000, 10000, 100000};
@@ -312,7 +442,7 @@ int RunAll(bool smoke, const std::string& json_path) {
   }
   std::printf("index paths sound: identical rows, gates met at N=%d\n",
               gate_n);
-  return 0;
+  return RunPerOp(smoke);
 }
 
 }  // namespace

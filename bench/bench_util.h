@@ -3,7 +3,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lang/parser.h"
@@ -30,6 +32,29 @@ T Value(Result<T> result, const char* what) {
 
 inline Program MustParseProgram(const std::string& source) {
   return Value(ParseProgram(source), "parse program");
+}
+
+/// One-line description of the measuring host and build, printed beside
+/// wall-clock rows: nanosecond figures mean little without it.
+inline std::string HostStamp() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(info, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      size_t colon = line.find(':');
+      if (colon != std::string::npos) cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+#ifdef __OPTIMIZE__
+  const char* optimized = "yes";
+#else
+  const char* optimized = "no";
+#endif
+  return "nproc=" + std::to_string(std::thread::hardware_concurrency()) +
+         " cpu=\"" + cpu + "\" compiler=\"gcc " + __VERSION__ +
+         "\" optimized=" + optimized;
 }
 
 /// The Figure 4.2 -> 4.4 restructuring used across benchmarks.

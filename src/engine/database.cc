@@ -648,31 +648,40 @@ Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
   return id;
 }
 
-int Database::CompareByKeys(const SetDef& set, RecordId a, RecordId b) const {
-  const StoredRecord* ra = store_.Get(a);
-  const StoredRecord* rb = store_.Get(b);
-  stats_.records_read += 2;
-  for (const std::string& key : set.keys) {
-    std::string k = ToUpper(key);
-    auto ia = ra->fields.find(k);
-    auto ib = rb->fields.find(k);
-    Value va = ia == ra->fields.end() ? Value() : ia->second;
-    Value vb = ib == rb->fields.end() ? Value() : ib->second;
-    int cmp = va.Compare(vb);
-    if (cmp != 0) return cmp;
-  }
-  return 0;
-}
-
-Result<size_t> Database::SortedPosition(const SetDef& set, RecordId owner,
-                                        RecordId member) const {
-  const std::vector<RecordId>& members =
-      store_.Members(ToUpper(set.name), owner);
+Result<size_t> SortedSetPosition(const Store& store, const SetDef& set,
+                                 const std::vector<RecordId>& members,
+                                 RecordId member, const FieldMap* new_fields,
+                                 OpStats* stats) {
   if (set.ordering == SetOrdering::kChronological) return members.size();
+  if (members.empty()) return size_t{0};
+  static const Value kAbsent;  // a missing key field compares as null
+  const FieldMap& fields =
+      new_fields != nullptr ? *new_fields : store.Get(member)->fields;
+  struct Key {
+    std::string name;
+    const Value* value;  // the new member's
+  };
+  std::vector<Key> keys;
+  keys.reserve(set.keys.size());
+  for (const std::string& key : set.keys) {
+    std::string name = ToUpper(key);
+    auto it = fields.find(name);
+    keys.push_back(
+        {std::move(name), it == fields.end() ? &kAbsent : &it->second});
+  }
   size_t pos = 0;
   for (RecordId existing : members) {
-    ++stats_.members_scanned;
-    int cmp = CompareByKeys(set, existing, member);
+    if (new_fields != nullptr && existing == member) continue;
+    const FieldMap& other = store.Get(existing)->fields;
+    if (stats != nullptr) {
+      ++stats->members_scanned;
+      stats->records_read += 2;
+    }
+    int cmp = 0;
+    for (size_t k = 0; k < keys.size() && cmp == 0; ++k) {
+      auto it = other.find(keys[k].name);
+      cmp = (it == other.end() ? kAbsent : it->second).Compare(*keys[k].value);
+    }
     if (cmp == 0) {
       return Status::ConstraintViolation(
           "duplicate set key in occurrence of " + set.name);
@@ -681,6 +690,14 @@ Result<size_t> Database::SortedPosition(const SetDef& set, RecordId owner,
     ++pos;
   }
   return pos;
+}
+
+Result<size_t> Database::SortedPosition(const SetDef& set, RecordId owner,
+                                        RecordId member,
+                                        const FieldMap* new_fields) const {
+  return SortedSetPosition(store_, set,
+                           store_.Members(ToUpper(set.name), owner), member,
+                           new_fields, &stats_);
 }
 
 Status Database::CheckCardinality(const ConstraintDef& c, const SetDef& set,
@@ -844,20 +861,35 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
   }
 
   // Does any set key change? Then re-place within each affected occurrence.
-  std::vector<const SetDef*> resort;
+  // New positions are found before anything is written, so a duplicate set
+  // key rejects the MODIFY with the record, its indexes and its set
+  // positions unchanged.
+  struct Move {
+    std::string set_upper;
+    RecordId owner;
+    size_t pos;
+  };
+  std::vector<Move> moves;
   for (const SetDef* set : schema_.SetsWithMember(rec->type)) {
     if (set->ordering != SetOrdering::kSortedByKeys) continue;
+    bool key_changed = false;
     for (const std::string& key : set->keys) {
       auto it = canonical.find(ToUpper(key));
       if (it != canonical.end()) {
         auto old_it = rec->fields.find(ToUpper(key));
         Value old_val = old_it == rec->fields.end() ? Value() : old_it->second;
         if (!(old_val == it->second)) {
-          resort.push_back(set);
+          key_changed = true;
           break;
         }
       }
     }
+    if (!key_changed) continue;
+    std::string set_upper = ToUpper(set->name);
+    RecordId owner = store_.OwnerOf(set_upper, id);
+    if (owner == 0) continue;
+    DBPC_ASSIGN_OR_RETURN(size_t pos, SortedPosition(*set, owner, id, &next));
+    moves.push_back({std::move(set_upper), owner, pos});
   }
 
   // Apply; maintain indexes around the field swap.
@@ -881,18 +913,9 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
       if (new_key.has_value()) unique_index_[c.name][*new_key] = id;
     }
   }
-  for (const SetDef* set : resort) {
-    RecordId owner = store_.OwnerOf(ToUpper(set->name), id);
-    if (owner == 0) continue;
-    DBPC_RETURN_IF_ERROR(store_.Unlink(ToUpper(set->name), id));
-    Result<size_t> pos = SortedPosition(*set, owner, id);
-    if (!pos.ok()) {
-      // Duplicate key at new position: relink at end to keep structural
-      // integrity, then report the violation.
-      (void)store_.LinkLast(ToUpper(set->name), owner, id);
-      return pos.status();
-    }
-    DBPC_RETURN_IF_ERROR(store_.Link(ToUpper(set->name), owner, id, *pos));
+  for (const Move& move : moves) {
+    DBPC_RETURN_IF_ERROR(store_.Unlink(move.set_upper, id));
+    DBPC_RETURN_IF_ERROR(store_.Link(move.set_upper, move.owner, id, move.pos));
     stats_.links_changed += 2;
   }
   return Status::OK();

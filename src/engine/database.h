@@ -34,6 +34,23 @@ struct OpStats {
   }
 };
 
+/// Position at which `member` belongs among `members`, the member list of
+/// one occurrence of `set` (paper section 4.2): a linear scan that stops at
+/// the first member whose key is greater, failing on a duplicate full key.
+/// Chronological sets append. The set's upper-cased key names and the new
+/// member's key values are resolved once; each existing member is read
+/// through `store` (which promotes a columnar row) and compared in place,
+/// charging `stats` (when non-null) one members_scanned and two
+/// records_read. The member's key values come from `new_fields` when given
+/// — `member` is then being re-placed and its own entry in `members` is
+/// passed over — and otherwise from its stored record, read only when there
+/// is a member to compare against. The engine and both copy engines place
+/// sorted members through this one function.
+Result<size_t> SortedSetPosition(const Store& store, const SetDef& set,
+                                 const std::vector<RecordId>& members,
+                                 RecordId member, const FieldMap* new_fields,
+                                 OpStats* stats);
+
 /// Knobs for the engine's internal access-path indexes. Indexes are
 /// trace-invisible: whenever a probe could change an observable outcome
 /// (errors included) the engine falls back to a scan, so results are
@@ -268,13 +285,11 @@ class Database {
       const std::string& type, const Predicate& pred,
       const HostEnv& host_env) const;
 
-  /// Compares two member records by a set's key fields.
-  int CompareByKeys(const SetDef& set, RecordId a, RecordId b) const;
-
-  /// Position at which `member` belongs in `set`'s occurrence of `owner`;
-  /// fails on duplicate full key (paper section 4.2).
+  /// SortedSetPosition over `set`'s occurrence of `owner`, charged to the
+  /// engine's OpStats. `new_fields` re-places an already linked member.
   Result<size_t> SortedPosition(const SetDef& set, RecordId owner,
-                                RecordId member) const;
+                                RecordId member,
+                                const FieldMap* new_fields = nullptr) const;
 
   Status CheckCardinality(const ConstraintDef& c, const SetDef& set,
                           RecordId owner, const FieldMap& new_member_fields,

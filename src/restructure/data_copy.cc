@@ -186,50 +186,9 @@ Status WrapTranslate(RecordId id, const std::string& type, const Status& s) {
 // The bulk engine materializes staged rows through the raw store so that
 // index maintenance can be deferred to one RebuildIndexes() at the end.
 // These replicas must produce the same decisions and error strings as
-// their Database counterparts (Database::CompareByKeys etc.); the
-// --diff-columnar fuzz axis holds the two engines to identical results.
-
-int CompareByKeysRaw(const Store& store, const SetDef& set, RecordId a,
-                     RecordId b) {
-  const StoredRecord* ra = store.Get(a);
-  const StoredRecord* rb = store.Get(b);
-  for (const std::string& key : set.keys) {
-    std::string k = ToUpper(key);
-    auto ia = ra->fields.find(k);
-    auto ib = rb->fields.find(k);
-    Value va = ia == ra->fields.end() ? Value() : ia->second;
-    Value vb = ib == rb->fields.end() ? Value() : ib->second;
-    int cmp = va.Compare(vb);
-    if (cmp != 0) return cmp;
-  }
-  return 0;
-}
-
-Result<size_t> SortedPositionRaw(const Store& store, const SetDef& set,
-                                 const std::string& set_upper, RecordId owner,
-                                 RecordId member) {
-  const std::vector<RecordId>& members = store.Members(set_upper, owner);
-  if (set.ordering == SetOrdering::kChronological) return members.size();
-  size_t pos = 0;
-  for (RecordId existing : members) {
-    int cmp = CompareByKeysRaw(store, set, existing, member);
-    if (cmp == 0) {
-      return Status::ConstraintViolation(
-          "duplicate set key in occurrence of " + set.name);
-    }
-    if (cmp > 0) break;
-    ++pos;
-  }
-  return pos;
-}
-
-Status ConnectInternalRaw(Store* store, const SetDef& set,
-                          const std::string& set_upper, RecordId member,
-                          RecordId owner) {
-  DBPC_ASSIGN_OR_RETURN(
-      size_t pos, SortedPositionRaw(*store, set, set_upper, owner, member));
-  return store->Link(set_upper, owner, member, pos);
-}
+// their Database counterparts (Database::CheckCardinality etc.); sorted
+// placement is shared outright (SortedSetPosition). The --diff-columnar
+// fuzz axis holds the two engines to identical results.
 
 Status CheckCardinalityRaw(const Store& store, const ConstraintDef& c,
                            const SetDef& set, RecordId owner,
@@ -866,14 +825,13 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
       }
     } else if (fast_eligible) {
       const Store& src_store = source.raw_store();
-      Store::ReadCursor cursor = src_store.Cursor();
       std::vector<const Value*> chosen(col_names.size());
       std::vector<const Value*> ptrs(col_names.size());
       std::vector<char> virt_present(static_cast<size_t>(n_virtual));
       std::vector<Value> scratch;  // coerced temporaries, one row at a time
       scratch.reserve(col_names.size());
       for (RecordId id : ordered) {
-        const StoredRecord* rec = cursor.Next(id);
+        const StoredRecord* rec = src_store.Get(id);
         std::fill(chosen.begin(), chosen.end(), nullptr);
         std::fill(virt_present.begin(), virt_present.end(), 0);
         scratch.clear();
@@ -970,9 +928,8 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     // --- generic staging --------------------------------------------------
     if (!fast_eligible || fast_fallback) {
       std::vector<Value> row(col_names.size());
-      Store::ReadCursor cursor = source.raw_store().Cursor();
       for (RecordId id : ordered) {
-        const StoredRecord* rec = cursor.Next(id);
+        const StoredRecord* rec = source.raw_store().Get(id);
         FieldMap incoming;
         for (const auto& [field, value] : rec->fields) {
           const std::optional<std::string>& target_field = mapper.Map(field);
@@ -1150,7 +1107,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
         TargetSetInfo& set_info = *link.info;
         Status s;
         if (set_info.chronological) {
-          // Chronological insertion is a pure append (SortedPositionRaw
+          // Chronological insertion is a pure append (SortedSetPosition
           // returns members.size() with no key scan), so the bound bulk
           // linker is an exact, occurrence-table-free equivalent.
           if (!set_info.linker.has_value()) {
@@ -1159,8 +1116,13 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
           }
           s = set_info.linker->LinkLast(link.owner, new_id);
         } else {
-          s = ConnectInternalRaw(&store, *set_info.set, set_info.name_upper,
-                                 new_id, link.owner);
+          Result<size_t> pos = SortedSetPosition(
+              store, *set_info.set,
+              store.Members(set_info.name_upper, link.owner), new_id,
+              /*new_fields=*/nullptr, /*stats=*/nullptr);
+          s = pos.ok() ? store.Link(set_info.name_upper, link.owner, new_id,
+                                    *pos)
+                       : pos.status();
         }
         if (!s.ok()) {
           // Roll back: unlink what was linked, drop this row and the tail.

@@ -6,16 +6,25 @@
 
 namespace dbpc {
 
+Store::Slab::Slab(const Slab& other) : live(other.live) {
+  slots.reserve(other.slots.size());
+  for (const std::unique_ptr<StoredRecord>& rec : other.slots) {
+    slots.push_back(rec ? std::make_unique<StoredRecord>(*rec) : nullptr);
+  }
+}
+
+Store::Slab& Store::Slab::operator=(const Slab& other) {
+  if (this != &other) *this = Slab(other);
+  return *this;
+}
+
 RecordId Store::Insert(std::string type, FieldMap fields) {
   RecordId id = next_id_++;
-  StoredRecord rec;
-  rec.id = id;
-  rec.type = std::move(type);
-  rec.fields = std::move(fields);
-  by_type_[rec.type].push_back(id);
-  // Ids are monotonic, so every insert lands at the end of the map; the
-  // hint turns bulk loads from O(log n) per record into amortized O(1).
-  records_.emplace_hint(records_.end(), id, std::move(rec));
+  by_type_[type].push_back(id);
+  heap_.slots.resize(next_id_);
+  heap_.slots[id] = std::make_unique<StoredRecord>(
+      StoredRecord{id, std::move(type), std::move(fields)});
+  ++heap_.live;
   return id;
 }
 
@@ -23,6 +32,8 @@ const ExtentTable& Store::AdoptExtents(ExtentTable table) {
   const RecordId first = next_id_;
   const size_t rows = table.rows();
   next_id_ += rows;
+  // Slots for the new ids stay null until their rows are promoted.
+  heap_.slots.resize(next_id_);
   table.AssignIds(first);
   std::vector<RecordId>& dir = by_type_[table.type()];
   dir.reserve(dir.size() + rows);
@@ -62,46 +73,44 @@ const StoredRecord* Store::Promote(RecordId id) const {
   seg->vacated[row] = true;
   --seg->live;
   --columnar_live_;
-  return &records_.emplace(id, std::move(rec)).first->second;
+  heap_.slots[id] = std::make_unique<StoredRecord>(std::move(rec));
+  ++heap_.live;
+  return heap_.slots[id].get();
+}
+
+void Store::DropFromDirectory(const std::string& type, RecordId id) {
+  auto dir = by_type_.find(type);
+  if (dir == by_type_.end()) return;
+  std::vector<RecordId>& ids = dir->second;
+  auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+  if (pos != ids.end() && *pos == id) ids.erase(pos);
 }
 
 Status Store::Remove(RecordId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    auto [seg, row] = SegmentRow(id);
-    if (seg == nullptr) {
-      return Status::NotFound("record " + std::to_string(id));
-    }
-    auto dir = by_type_.find(seg->table.type());
-    if (dir != by_type_.end()) {
-      std::vector<RecordId>& ids = dir->second;
-      auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-      if (pos != ids.end() && *pos == id) ids.erase(pos);
-    }
-    seg->vacated[row] = true;
-    --seg->live;
-    --columnar_live_;
+  if (const StoredRecord* rec = heap_.At(id)) {
+    DropFromDirectory(rec->type, id);
+    heap_.slots[id].reset();
+    --heap_.live;
     return Status::OK();
   }
-  auto dir = by_type_.find(it->second.type);
-  if (dir != by_type_.end()) {
-    std::vector<RecordId>& ids = dir->second;
-    auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-    if (pos != ids.end() && *pos == id) ids.erase(pos);
+  auto [seg, row] = SegmentRow(id);
+  if (seg == nullptr) {
+    return Status::NotFound("record " + std::to_string(id));
   }
-  records_.erase(it);
+  DropFromDirectory(seg->table.type(), id);
+  seg->vacated[row] = true;
+  --seg->live;
+  --columnar_live_;
   return Status::OK();
 }
 
 bool Store::Exists(RecordId id) const {
-  if (records_.count(id) > 0) return true;
-  return SegmentRow(id).first != nullptr;
+  return heap_.At(id) != nullptr || SegmentRow(id).first != nullptr;
 }
 
 const StoredRecord* Store::Get(RecordId id) const {
-  auto it = records_.find(id);
-  if (it != records_.end()) return &it->second;
-  return Promote(id);
+  const StoredRecord* rec = heap_.At(id);
+  return rec != nullptr ? rec : Promote(id);
 }
 
 StoredRecord* Store::GetMutable(RecordId id) {
@@ -116,8 +125,10 @@ const std::vector<RecordId>& Store::OfType(const std::string& type) const {
 
 std::vector<RecordId> Store::AllRecords() const {
   std::vector<RecordId> heap_ids;
-  heap_ids.reserve(records_.size());
-  for (const auto& [id, rec] : records_) heap_ids.push_back(id);
+  heap_ids.reserve(heap_.live);
+  for (RecordId id = 1; id < heap_.slots.size(); ++id) {
+    if (heap_.slots[id] != nullptr) heap_ids.push_back(id);
+  }
   if (columnar_live_ == 0) return heap_ids;
   std::vector<RecordId> columnar_ids;
   columnar_ids.reserve(columnar_live_);
@@ -128,7 +139,7 @@ std::vector<RecordId> Store::AllRecords() const {
       }
     }
   }
-  // Both runs are ascending (map order; rows within a segment ascend).
+  // Both runs are ascending (slab order; rows within a segment ascend).
   std::vector<RecordId> out;
   out.reserve(heap_ids.size() + columnar_ids.size());
   std::merge(heap_ids.begin(), heap_ids.end(), columnar_ids.begin(),

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +19,11 @@ namespace dbpc {
 /// Untyped record heap plus owner-coupled set membership, shared by all
 /// three data-model facades. The store knows nothing about schemas; the
 /// `Database` engine layers validation and constraint enforcement on top.
+///
+/// The record heap is a slab indexed by record id: `Get`, `Exists` and
+/// `Remove` index an array, and a record never moves once materialized, so
+/// a `const StoredRecord*` stays valid until that record is removed or the
+/// store destroyed. Ids are never reused.
 ///
 /// Set occurrences are kept as explicit ordered member lists per owner, the
 /// in-memory analogue of 1970s chain/pointer-array set implementations.
@@ -47,30 +53,6 @@ class Store {
   bool Exists(RecordId id) const;
   const StoredRecord* Get(RecordId id) const;
   StoredRecord* GetMutable(RecordId id);
-
-  /// Read cursor for bulk scans in (mostly) ascending id order: Next(id)
-  /// returns Get(id), but consecutive calls with increasing ids amortize
-  /// the heap lookup into one ordered walk. Out-of-order ids and columnar
-  /// rows fall back to Get, so any call sequence is correct.
-  class ReadCursor {
-   public:
-    const StoredRecord* Next(RecordId id) {
-      while (it_ != end_ && it_->first < id) ++it_;
-      if (it_ != end_ && it_->first == id) return &it_->second;
-      return store_->Get(id);
-    }
-
-   private:
-    friend class Store;
-    explicit ReadCursor(const Store* store)
-        : store_(store),
-          it_(store->records_.begin()),
-          end_(store->records_.end()) {}
-    const Store* store_;
-    std::map<RecordId, StoredRecord>::const_iterator it_;
-    std::map<RecordId, StoredRecord>::const_iterator end_;
-  };
-  ReadCursor Cursor() const { return ReadCursor(this); }
 
   /// Read-side accessor bound to one set: the set index is resolved once
   /// instead of per OwnerOf probe. An absent set binds to a null reader
@@ -124,7 +106,7 @@ class Store {
   /// the whole point of keeping adopted extents columnar.
   std::vector<ColumnarRun> ColumnarRuns(const std::string& type) const;
 
-  size_t LiveCount() const { return records_.size() + columnar_live_; }
+  size_t LiveCount() const { return heap_.live + columnar_live_; }
 
   // --- set membership -------------------------------------------------
 
@@ -217,13 +199,35 @@ class Store {
   /// the columnar members exist to serve logically-const promotion.
   std::pair<ColumnarSegment*, size_t> SegmentRow(RecordId id) const;
 
+  /// Erases `id` from the per-type directory of `type`.
+  void DropFromDirectory(const std::string& type, RecordId id);
+
   /// Materializes columnar row `id` into the record heap; nullptr when
   /// `id` is not a live columnar row. Promotion never changes the set of
   /// live records or any observable value, so it is logically const.
   const StoredRecord* Promote(RecordId id) const;
 
+  /// The record heap: slot `id` holds record `id`, null when the id is
+  /// unissued, removed, or a still-columnar row. Records live behind their
+  /// own allocation so growing the slot array never moves one. Copies are
+  /// deep (`Clone`, `Database` copies).
+  struct Slab {
+    std::vector<std::unique_ptr<StoredRecord>> slots;
+    size_t live = 0;  // non-null slots
+
+    Slab() = default;
+    Slab(const Slab& other);
+    Slab& operator=(const Slab& other);
+    Slab(Slab&&) noexcept = default;
+    Slab& operator=(Slab&&) noexcept = default;
+
+    StoredRecord* At(RecordId id) const {
+      return id < slots.size() ? slots[id].get() : nullptr;
+    }
+  };
+
   RecordId next_id_ = 1;
-  mutable std::map<RecordId, StoredRecord> records_;
+  mutable Slab heap_;
   mutable std::map<RecordId, ColumnarSegment> segments_;
   /// Live rows across all segments (not yet promoted or removed).
   mutable size_t columnar_live_ = 0;

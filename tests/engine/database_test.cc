@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "testing/fixtures.h"
 
 namespace dbpc {
@@ -175,8 +180,101 @@ TEST(DatabaseTest, ModifyToDuplicateSetKeyRejected) {
   Database db = MakeCompanyDatabase();
   RecordId machinery = db.SystemMembers("ALL-DIV")[0];
   std::vector<RecordId> emps = db.Members("DIV-EMP", machinery);
-  Status s = db.ModifyRecord(emps[0], {{"EMP-NAME", Value::String("BAKER")}});
+  ASSERT_EQ(emps.size(), 3u);  // ADAMS, BAKER, CLARK
+  RecordId adams = emps[0];
+  Status s = db.ModifyRecord(
+      adams, {{"EMP-NAME", Value::String("BAKER")}, {"AGE", Value::Int(99)}});
   EXPECT_EQ(s.code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(s.message(), "duplicate set key in occurrence of DIV-EMP");
+  // The rejected MODIFY leaves the database unchanged: field values, the
+  // sorted member order, and the set-key index.
+  EXPECT_EQ(db.GetField(adams, "EMP-NAME")->as_string(), "ADAMS");
+  EXPECT_EQ(db.GetField(adams, "AGE")->as_int(), 34);
+  EXPECT_EQ(db.Members("DIV-EMP", machinery), emps);
+  EXPECT_EQ(db.ProbeIndex("EMP", "EMP-NAME", Value::String("ADAMS")),
+            std::make_optional(std::vector<RecordId>{adams}));
+  EXPECT_EQ(db.ProbeIndex("EMP", "EMP-NAME", Value::String("BAKER")),
+            std::make_optional(std::vector<RecordId>{emps[1]}));
+  // The record is still modifiable afterwards.
+  ASSERT_TRUE(
+      db.ModifyRecord(adams, {{"EMP-NAME", Value::String("BROWN")}}).ok());
+  EXPECT_EQ(db.Members("DIV-EMP", machinery),
+            (std::vector<RecordId>{emps[1], adams, emps[2]}));
+}
+
+// --- sorted placement cost: the linear scan, pinned -----------------------
+//
+// Placing a member in a key-sorted occurrence compares it with existing
+// members in order until one sorts after it; each comparison charges one
+// members_scanned and two records_read. These counts are part of the
+// engine's observable OpStats and must not drift with the placement code.
+
+OpStats StoreEmp(Database* db, RecordId div, const char* name, bool ok) {
+  db->ResetStats();
+  Result<RecordId> id = db->StoreRecord(
+      {"EMP", {{"EMP-NAME", Value::String(name)}}, {{"DIV-EMP", div}}});
+  EXPECT_EQ(id.ok(), ok) << name << ": " << id.status();
+  return db->stats();
+}
+
+TEST(DatabaseTest, SortedPlacementChargesTheLinearScan) {
+  Database db = MakeCompanyDatabase();
+  RecordId machinery = db.SystemMembers("ALL-DIV")[0];
+  // MACHINERY's DIV-EMP occurrence: ADAMS, BAKER, CLARK.
+  struct Case {
+    const char* name;
+    bool ok;
+    uint64_t compared;  // members the scan compares before it stops
+  };
+  for (const Case& c : {Case{"AARON", true, 1},   // stops at ADAMS
+                        Case{"BROWN", true, 4},   // stops at CLARK
+                        Case{"ZEBRA", true, 5},   // whole occurrence
+                        Case{"BAKER", false, 3},  // duplicate at BAKER
+                        Case{"ABLE", true, 2}}) {  // stops at ADAMS
+    SCOPED_TRACE(c.name);
+    OpStats stats = StoreEmp(&db, machinery, c.name, c.ok);
+    EXPECT_EQ(stats.members_scanned, c.compared);
+    EXPECT_EQ(stats.records_read, 2 * c.compared);
+  }
+  // The occurrence is in key order after the successful stores.
+  std::vector<std::string> names;
+  for (RecordId m : db.Members("DIV-EMP", machinery)) {
+    names.push_back(db.GetField(m, "EMP-NAME")->as_string());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"AARON", "ABLE", "ADAMS", "BAKER",
+                                             "BROWN", "CLARK", "ZEBRA"}));
+}
+
+TEST(DatabaseTest, SortedPlacementScansOccurrenceOfKnownSize) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId div =
+      *db.StoreRecord({"DIV", {{"DIV-NAME", Value::String("D")}}, {}});
+  char name[16];
+  // Stores in key order, as a copy makes them: each new member sorts after
+  // every existing one, so the scan compares the whole occurrence.
+  for (int e = 0; e < 64; ++e) {
+    std::snprintf(name, sizeof(name), "E%02d", e);
+    ASSERT_EQ(StoreEmp(&db, div, name, true).members_scanned,
+              static_cast<uint64_t>(e));
+  }
+  OpStats last = StoreEmp(&db, div, "F00", true);
+  EXPECT_EQ(last.members_scanned, 64u);
+  EXPECT_EQ(last.records_read, 128u);
+  EXPECT_EQ(last.records_written, 1u);
+  EXPECT_EQ(last.links_changed, 1u);
+  // A duplicate of the last key scans the whole occurrence before failing.
+  OpStats dup = StoreEmp(&db, div, "F00", false);
+  EXPECT_EQ(dup.members_scanned, 65u);
+  EXPECT_EQ(dup.records_read, 130u);
+  // Re-placing a member passes over its own entry: moving E00 to the end
+  // compares it with the 64 others.
+  RecordId e00 = db.Members("DIV-EMP", div)[0];
+  db.ResetStats();
+  ASSERT_TRUE(db.ModifyRecord(e00, {{"EMP-NAME", Value::String("G00")}}).ok());
+  EXPECT_EQ(db.stats().members_scanned, 64u);
+  EXPECT_EQ(db.stats().records_read, 128u);
+  EXPECT_EQ(db.stats().links_changed, 2u);
+  EXPECT_EQ(db.Members("DIV-EMP", div).back(), e00);
 }
 
 TEST(DatabaseTest, CardinalityLimitEnforced) {

@@ -320,6 +320,81 @@ TEST(CopyDatabaseTest, BulkAndRecordEnginesAgreeOnDuplicateKeyErrors) {
   EXPECT_EQ(messages[0], messages[1]);
 }
 
+/// COMPANY with DIV-EMP chronological: members keep arrival order, so a
+/// copy into the key-sorted COMPANY schema must place every one of them.
+Database MakeChronologicalCompany(
+    const std::vector<std::vector<const char*>>& divisions) {
+  Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
+  schema.FindSet("DIV-EMP")->keys.clear();
+  schema.FindSet("DIV-EMP")->ordering = SetOrdering::kChronological;
+  Database db = *Database::Create(schema);
+  for (size_t d = 0; d < divisions.size(); ++d) {
+    RecordId div = *db.StoreRecord(
+        {"DIV", {{"DIV-NAME", Value::String("DIV-" + std::to_string(d))}}, {}});
+    for (const char* name : divisions[d]) {
+      EXPECT_TRUE(db.StoreRecord({"EMP",
+                                  {{"EMP-NAME", Value::String(name)}},
+                                  {{"DIV-EMP", div}}})
+                      .ok());
+    }
+  }
+  return db;
+}
+
+std::vector<std::string> MemberNames(const Database& db, RecordId div) {
+  std::vector<std::string> names;
+  for (RecordId m : db.Members("DIV-EMP", div)) {
+    names.push_back(db.GetField(m, "EMP-NAME")->as_string());
+  }
+  return names;
+}
+
+TEST(CopyDatabaseTest, BulkAndRecordEnginesPlaceSortedMembersIdentically) {
+  Database source = MakeChronologicalCompany(
+      {{"CLARK", "ADAMS", "EVANS", "BAKER", "DAVIS"}, {"ZED", "ABLE", "MOSS"}});
+  std::vector<std::string> dumps;
+  for (DataCopyEngine engine :
+       {DataCopyEngine::kColumnarBulk, DataCopyEngine::kRecordAtATime}) {
+    ScopedDataCopyEngine scoped(engine);
+    Database target = testing::MakeDatabase(testing::CompanyDdl());
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, CopySpec{});
+    ASSERT_TRUE(map.ok()) << map.status();
+    std::vector<RecordId> divs = target.SystemMembers("ALL-DIV");
+    ASSERT_EQ(divs.size(), 2u);
+    EXPECT_EQ(MemberNames(target, divs[0]),
+              (std::vector<std::string>{"ADAMS", "BAKER", "CLARK", "DAVIS",
+                                        "EVANS"}));
+    EXPECT_EQ(MemberNames(target, divs[1]),
+              (std::vector<std::string>{"ABLE", "MOSS", "ZED"}));
+    dumps.push_back(*DumpDatabaseText(target));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+TEST(CopyDatabaseTest, BulkAndRecordEnginesAgreeOnDuplicateSetKeys) {
+  // A chronological occurrence may repeat a key; the sorted target refuses
+  // the second ADAMS with the same status under both engines.
+  Database source =
+      MakeChronologicalCompany({{"CLARK", "ADAMS", "BAKER", "ADAMS"}});
+  std::vector<std::string> messages;
+  for (DataCopyEngine engine :
+       {DataCopyEngine::kColumnarBulk, DataCopyEngine::kRecordAtATime}) {
+    ScopedDataCopyEngine scoped(engine);
+    Database target = testing::MakeDatabase(testing::CompanyDdl());
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, CopySpec{});
+    ASSERT_FALSE(map.ok());
+    EXPECT_EQ(map.status().code(), StatusCode::kConstraintViolation);
+    EXPECT_NE(map.status().message().find(
+                  "duplicate set key in occurrence of DIV-EMP"),
+              std::string::npos)
+        << map.status();
+    messages.push_back(map.status().ToString());
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+}
+
 // --- columnar-source staging (extent-to-extent fast path) -----------------
 
 constexpr char kColumnarDdl[] = R"(

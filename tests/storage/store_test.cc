@@ -141,14 +141,26 @@ TEST(StoreTest, OfTypeReferenceSurvivesInsertsOfOtherTypes) {
 }
 
 TEST(StoreTest, GetPointerSurvivesLaterInserts) {
-  // Record pointers are node-stable too: bulk loaders may hold a
-  // StoredRecord* across subsequent inserts.
+  // Records never move once materialized: bulk loaders may hold a
+  // StoredRecord* while later inserts grow the slab, adoptions extend it
+  // with columnar ids, and promotions materialize rows around it.
   Store store;
   RecordId id = store.Insert("A", {{"F", Value::Int(7)}});
   const StoredRecord* rec = store.Get(id);
   for (int i = 0; i < 1000; ++i) store.Insert("A", {});
   EXPECT_EQ(store.Get(id), rec);
+  RecordId first_promoted = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 20; ++i) store.Insert("A", {});
+    ExtentTable t("B", {"G"}, {FieldType::kInt});
+    for (int r = 0; r < 10; ++r) t.AppendRow(0, {Value::Int(round * 10 + r)});
+    const ExtentTable& rows = store.AdoptExtents(std::move(t));
+    ASSERT_NE(store.Get(rows.IdAt(3)), nullptr);  // promotes the row
+    if (round == 0) first_promoted = rows.IdAt(3);
+  }
+  EXPECT_EQ(store.Get(id), rec);
   EXPECT_EQ(rec->fields.at("F").as_int(), 7);
+  EXPECT_EQ(store.Get(first_promoted)->fields.at("G").as_int(), 3);
 }
 
 TEST(StoreTest, ColumnarRunsExposeAdoptedSegmentsByType) {
@@ -180,13 +192,107 @@ TEST(StoreTest, CloneIsDeep) {
   Store store;
   RecordId owner = store.Insert("O", {});
   RecordId m = store.Insert("M", {{"F", Value::Int(1)}});
+  RecordId m2 = store.Insert("M", {});
   ASSERT_TRUE(store.LinkLast("S", owner, m).ok());
+  ExtentTable t("M", {"F"}, {FieldType::kInt});
+  t.AppendRow(0, {Value::Int(3)});
+  t.AppendRow(0, {Value::Int(4)});
+  const ExtentTable& rows = store.AdoptExtents(std::move(t));
+  const RecordId c1 = rows.IdAt(0);
+  const RecordId c2 = rows.IdAt(1);
+
   Store copy = store.Clone();
+  // The clone's records are its own allocations, not shared pointers.
+  EXPECT_NE(copy.Get(m), store.Get(m));
   ASSERT_TRUE(copy.Unlink("S", m).ok());
   copy.GetMutable(m)->fields["F"] = Value::Int(2);
+  ASSERT_TRUE(copy.Remove(m2).ok());
+  ASSERT_NE(copy.Get(c1), nullptr);  // promotes in the clone only
+  ASSERT_TRUE(copy.Remove(c2).ok());
+  copy.Insert("M", {});
   // Original unaffected.
   EXPECT_EQ(store.OwnerOf("S", m), owner);
   EXPECT_EQ(store.Get(m)->fields.at("F").as_int(), 1);
+  EXPECT_TRUE(store.Exists(m2));
+  EXPECT_TRUE(store.Exists(c2));
+  EXPECT_EQ(store.ColumnarRuns("M")[0].live, 2u);
+  EXPECT_EQ(store.LiveCount(), 5u);
+  EXPECT_EQ(store.AllOfType("M"), (std::vector<RecordId>{m, m2, c1, c2}));
+  EXPECT_EQ(copy.LiveCount(), 4u);
+}
+
+TEST(StoreTest, LookupsOnIdsThatHoldNoRecord) {
+  Store store;
+  // Before any insert, nothing resolves.
+  EXPECT_EQ(store.Get(1), nullptr);
+  EXPECT_FALSE(store.Exists(1));
+
+  RecordId heap = store.Insert("A", {{"F", Value::Int(1)}});
+  RecordId removed = store.Insert("A", {});
+  ExtentTable t("A", {"F"}, {FieldType::kInt});
+  t.AppendRow(0, {Value::Int(2)});
+  t.AppendRow(0, {Value::Int(3)});
+  const ExtentTable& rows = store.AdoptExtents(std::move(t));
+  const RecordId columnar = rows.IdAt(0);
+  const RecordId columnar_removed = rows.IdAt(1);
+  ASSERT_TRUE(store.Remove(removed).ok());
+  ASSERT_TRUE(store.Remove(columnar_removed).ok());
+  const RecordId past_end = columnar_removed + 1;
+
+  for (RecordId id : {RecordId{0}, kSystemOwner, past_end, past_end + 1000,
+                      removed, columnar_removed}) {
+    SCOPED_TRACE(id);
+    EXPECT_FALSE(store.Exists(id));
+    EXPECT_EQ(store.Get(id), nullptr);
+    EXPECT_EQ(store.GetMutable(id), nullptr);
+    EXPECT_EQ(store.Remove(id).code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(store.LiveCount(), 2u);
+
+  // A columnar id exists without promotion; Get materializes it once.
+  EXPECT_TRUE(store.Exists(columnar));
+  EXPECT_EQ(store.ColumnarRuns("A")[0].live, 1u);
+  const StoredRecord* rec = store.Get(columnar);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->id, columnar);
+  EXPECT_EQ(rec->fields.at("F").as_int(), 2);
+  EXPECT_EQ(store.Get(columnar), rec);
+  EXPECT_EQ(store.ColumnarRuns("A")[0].live, 0u);
+  EXPECT_EQ(store.LiveCount(), 2u);
+  // A promoted row is removed from the heap like any inserted record.
+  ASSERT_TRUE(store.Remove(columnar).ok());
+  EXPECT_FALSE(store.Exists(columnar));
+  EXPECT_EQ(store.Remove(columnar).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(store.Exists(heap));
+  EXPECT_EQ(store.LiveCount(), 1u);
+  // Ids are never reused.
+  EXPECT_EQ(store.Insert("A", {}), past_end);
+}
+
+TEST(StoreTest, AllRecordsAndLiveCountAfterMixedRemovals) {
+  Store store;
+  RecordId h1 = store.Insert("A", {});
+  RecordId h2 = store.Insert("B", {});
+  ExtentTable t("A", {"F"}, {FieldType::kInt});
+  for (int r = 0; r < 4; ++r) t.AppendRow(0, {Value::Int(r)});
+  const ExtentTable& rows = store.AdoptExtents(std::move(t));
+  RecordId h3 = store.Insert("B", {});
+  ASSERT_NE(store.Get(rows.IdAt(2)), nullptr);  // promoted, still live
+  EXPECT_EQ(store.LiveCount(), 7u);
+
+  ASSERT_TRUE(store.Remove(h2).ok());           // heap record
+  ASSERT_TRUE(store.Remove(rows.IdAt(0)).ok());  // columnar row
+  ASSERT_TRUE(store.Remove(rows.IdAt(2)).ok());  // promoted row
+  EXPECT_EQ(store.LiveCount(), 4u);
+  EXPECT_EQ(store.AllRecords(),
+            (std::vector<RecordId>{h1, rows.IdAt(1), rows.IdAt(3), h3}));
+  EXPECT_EQ(store.AllOfType("A"),
+            (std::vector<RecordId>{h1, rows.IdAt(1), rows.IdAt(3)}));
+  EXPECT_EQ(store.AllOfType("B"), (std::vector<RecordId>{h3}));
+
+  for (RecordId id : store.AllRecords()) ASSERT_TRUE(store.Remove(id).ok());
+  EXPECT_EQ(store.LiveCount(), 0u);
+  EXPECT_TRUE(store.AllRecords().empty());
 }
 
 }  // namespace

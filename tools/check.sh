@@ -1,12 +1,13 @@
 #!/bin/sh
 # One-command verification: the tier-1 build + test suite, then the
-# concurrency-sensitive service tests again under ThreadSanitizer.
+# concurrency-sensitive service tests again under ThreadSanitizer and the
+# storage, engine and data-copy tests under AddressSanitizer.
 #
 #   tools/check.sh [jobs]
 #
-# Build trees: build/ (plain) and build-tsan/ (-DDBPC_SANITIZE=thread).
-# The sanitizer matrix also accepts address and undefined; see the
-# DBPC_SANITIZE option in the top-level CMakeLists.txt.
+# Build trees: build/ (plain), build-tsan/ (-DDBPC_SANITIZE=thread) and
+# build-asan/ (-DDBPC_SANITIZE=address). The sanitizer matrix also accepts
+# undefined; see the DBPC_SANITIZE option in the top-level CMakeLists.txt.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -155,5 +156,18 @@ cmake --build build-tsan -j "$JOBS" \
   && ./reactor_test && ./admin_test)
 (cd build-tsan/tests/storage && ./store_test && ./extent_test)
 (cd build-tsan/tests/convert && ./template_cache_test)
+
+# The record store hands out raw pointers into the records it owns, and the
+# engine and the bulk copy engine hold them across inserts, adoptions and
+# promotions; AddressSanitizer checks every such pointer these tests take.
+echo "== asan: storage, engine and copy tests under -DDBPC_SANITIZE=address (build-asan/) =="
+cmake -B build-asan -S . -DDBPC_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$JOBS" \
+  --target store_test extent_test database_test index_test bulk_load_test \
+           data_copy_test
+(cd build-asan/tests/storage && ./store_test && ./extent_test)
+(cd build-asan/tests/engine && ./database_test && ./index_test \
+  && ./bulk_load_test)
+(cd build-asan/tests/restructure && ./data_copy_test)
 
 echo "== check.sh: all green =="
