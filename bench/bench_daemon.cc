@@ -1,4 +1,4 @@
-// Experiments E13/E16/E17 — daemon load, io-model scaling, telemetry cost.
+// Experiments E13/E16/E17 — daemon load, session scaling, telemetry cost.
 //
 // Claim: dbpcd sustains hundreds of concurrent sessions with bounded
 // client-observed latency, and its admission control answers every
@@ -11,13 +11,11 @@
 // DRAIN mid-burst and checks the drain contract: every admitted job
 // completes, late SUBMITs get backpressure, nothing is dropped.
 //
-//   bench_daemon                 full table: epoll 8..2000 sessions plus
-//                                threads-model contrast rows (200, 400)
+//   bench_daemon                 full table: 8..2000 sessions
 //   bench_daemon --smoke         200 sessions only + hard assertions
-//                                (gates the epoll path in check.sh)
-//   bench_daemon --io-model <m>  restrict the table to one io-model
-//   bench_daemon --json <file>   also write the rows as JSON (the
-//                                BENCH_daemon.json baseline format)
+//                                (gates the daemon in check.sh)
+//   bench_daemon --json <file>   also write the host and the rows as JSON
+//                                (the BENCH_daemon.json baseline format)
 //
 // Session driving: up to 400 connections each session is its own client
 // thread (one blocking Submit + RESULT WAIT round trip at a time — the
@@ -31,7 +29,7 @@
 // Like E10/E11 this is a plain table program: google-benchmark repetition
 // would only serialize the interesting part (hundreds of live sockets).
 //
-// E17 (telemetry overhead): the 400-session epoll row is measured twice —
+// E17 (telemetry overhead): the 400-session row is measured twice —
 // plain, then with the full telemetry plane on (structured logging with a
 // file sink, --slow-request-ms 1 so *every* request writes a slow-request
 // line, and a 1 Hz /metrics scraper against the admin endpoint) — and the
@@ -209,7 +207,6 @@ void RunMuxSessions(int port, int base_index, int count,
 }
 
 struct Row {
-  DaemonIoModel io_model = DaemonIoModel::kThreads;
   int connections = 0;
   double duration_s = 0;
   uint64_t completed = 0;
@@ -230,10 +227,9 @@ uint64_t PercentileUs(const std::vector<uint64_t>& sorted, double p) {
 
 Result<std::unique_ptr<ConversionDaemon>> StartDaemon(
     const Schema& schema, const RestructuringPlan& plan, int connections,
-    DaemonIoModel io_model, bool telemetry = false) {
+    bool telemetry = false) {
   DaemonOptions options;
   options.port = 0;
-  options.io_model = io_model;
   options.max_connections = connections + 16;
   options.queue_depth = connections + 64;
   options.result_wait_ms = 10000;  // below the sessions' 20s read timeout
@@ -253,11 +249,10 @@ Result<std::unique_ptr<ConversionDaemon>> StartDaemon(
 /// second (the Prometheus-agent shape). `scrapes_out` reports how many
 /// scrapes answered 200.
 Row MeasureRow(const Schema& schema, const RestructuringPlan& plan,
-               DaemonIoModel io_model, int connections, int duration_ms,
-               bool telemetry = false, uint64_t* scrapes_out = nullptr) {
+               int connections, int duration_ms, bool telemetry = false,
+               uint64_t* scrapes_out = nullptr) {
   std::unique_ptr<ConversionDaemon> daemon = bench::Value(
-      StartDaemon(schema, plan, connections, io_model, telemetry),
-      "daemon start");
+      StartDaemon(schema, plan, connections, telemetry), "daemon start");
 
   FILE* log_file = nullptr;
   std::atomic<bool> scraper_stop{false};
@@ -318,7 +313,6 @@ Row MeasureRow(const Schema& schema, const RestructuringPlan& plan,
   }
 
   Row row;
-  row.io_model = io_model;
   row.connections = connections;
   row.duration_s = elapsed_s;
   std::vector<uint64_t> latencies;
@@ -343,11 +337,10 @@ Row MeasureRow(const Schema& schema, const RestructuringPlan& plan,
 /// finishes), post-drain SUBMITs get backpressure rather than silence,
 /// and no session loses a request without a response.
 bool CheckDrainUnderTraffic(const Schema& schema,
-                            const RestructuringPlan& plan,
-                            DaemonIoModel io_model) {
+                            const RestructuringPlan& plan) {
   constexpr int kConnections = 32;
   std::unique_ptr<ConversionDaemon> daemon = bench::Value(
-      StartDaemon(schema, plan, kConnections, io_model), "daemon start");
+      StartDaemon(schema, plan, kConnections), "daemon start");
 
   std::vector<SessionTally> tallies(kConnections);
   std::vector<std::thread> sessions;
@@ -398,16 +391,15 @@ struct E17Result {
 /// host, and the gate is about systematic cost, not scheduler luck.
 E17Result MeasureTelemetryOverhead(const Schema& schema,
                                    const RestructuringPlan& plan,
-                                   DaemonIoModel io_model, int connections,
-                                   int duration_ms, int attempts) {
+                                   int connections, int duration_ms,
+                                   int attempts) {
   E17Result best;
   bool have_best = false;
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    Row baseline =
-        MeasureRow(schema, plan, io_model, connections, duration_ms);
+    Row baseline = MeasureRow(schema, plan, connections, duration_ms);
     uint64_t scrapes = 0;
-    Row telemetry = MeasureRow(schema, plan, io_model, connections,
-                               duration_ms, /*telemetry=*/true, &scrapes);
+    Row telemetry = MeasureRow(schema, plan, connections, duration_ms,
+                               /*telemetry=*/true, &scrapes);
     double delta =
         baseline.conversions_per_sec > 0
             ? (baseline.conversions_per_sec -
@@ -417,9 +409,9 @@ E17Result MeasureTelemetryOverhead(const Schema& schema,
     bool sound =
         baseline.dropped == 0 && telemetry.dropped == 0 && scrapes > 0;
     std::printf(
-        "E17 %8s %4d sessions, attempt %d: baseline %.1f conv/s, "
+        "E17 %4d sessions, attempt %d: baseline %.1f conv/s, "
         "telemetry %.1f conv/s (delta %+.1f%%, %llu scrapes)%s\n",
-        DaemonIoModelName(io_model), connections, attempt + 1,
+        connections, attempt + 1,
         baseline.conversions_per_sec, telemetry.conversions_per_sec,
         delta * 100.0, static_cast<unsigned long long>(scrapes),
         sound ? "" : " [UNSOUND]");
@@ -439,56 +431,34 @@ E17Result MeasureTelemetryOverhead(const Schema& schema,
 }
 
 struct Shape {
-  DaemonIoModel io_model;
   int connections;
   int duration_ms;
 };
 
-int RunAll(bool smoke, bool model_given, DaemonIoModel model,
-           const std::string& json_path) {
+int RunAll(bool smoke, const std::string& json_path) {
   Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
   RestructuringPlan plan =
       std::move(bench::Value(ParsePlan(kPlanText), "parse plan"));
 
-  // Which io-model the non-row checks (drain-under-traffic) and the smoke
-  // gate run under: an explicit --io-model wins, otherwise the platform
-  // default (epoll on Linux — the model the smoke gate is meant to guard).
-  DaemonIoModel gate_model = model_given ? model : DaemonOptions{}.io_model;
-
   std::vector<Shape> shapes;
   if (smoke) {
-    shapes = {{gate_model, 200, 1500}};
-  } else if (model_given) {
-    shapes = {{model, 8, 2000}, {model, 64, 2000},
-              {model, 200, 2500}, {model, 400, 3000}};
-    if (model == DaemonIoModel::kEpoll) {
-      shapes.push_back({model, 1000, 4000});
-      shapes.push_back({model, 2000, 5000});
-    }
+    shapes = {{200, 1500}};
   } else {
-    // Threads-model contrast rows first, then the epoll ladder up to the
-    // concurrency the per-connection-thread model cannot reach.
-    shapes = {{DaemonIoModel::kThreads, 200, 2500},
-              {DaemonIoModel::kThreads, 400, 3000},
-              {DaemonIoModel::kEpoll, 8, 2000},
-              {DaemonIoModel::kEpoll, 64, 2000},
-              {DaemonIoModel::kEpoll, 200, 2500},
-              {DaemonIoModel::kEpoll, 400, 3000},
-              {DaemonIoModel::kEpoll, 1000, 4000},
-              {DaemonIoModel::kEpoll, 2000, 5000}};
+    shapes = {{8, 2000},   {64, 2000},   {200, 2500},
+              {400, 3000}, {1000, 4000}, {2000, 5000}};
   }
 
+  std::printf("host: %s\n", bench::HostStamp().c_str());
   std::printf("E13/E16 daemon load: closed-loop sessions over loopback TCP\n"
-              "%8s %12s %10s %12s %14s %9s %10s %10s %6s\n",
-              "io", "connections", "completed", "backpressure",
+              "%12s %10s %12s %14s %9s %10s %10s %6s\n",
+              "connections", "completed", "backpressure",
               "conversions/s", "p50(ms)", "p99(ms)", "dropped", "idle");
   std::vector<Row> rows;
   bool sound = true;
   for (const Shape& shape : shapes) {
-    Row row = MeasureRow(schema, plan, shape.io_model, shape.connections,
-                         shape.duration_ms);
-    std::printf("%8s %12d %10llu %12llu %14.1f %9.1f %10.1f %10llu %6d\n",
-                DaemonIoModelName(row.io_model), row.connections,
+    Row row = MeasureRow(schema, plan, shape.connections, shape.duration_ms);
+    std::printf("%12d %10llu %12llu %14.1f %9.1f %10.1f %10llu %6d\n",
+                row.connections,
                 static_cast<unsigned long long>(row.completed),
                 static_cast<unsigned long long>(row.backpressure),
                 row.conversions_per_sec,
@@ -509,7 +479,7 @@ int RunAll(bool smoke, bool model_given, DaemonIoModel model,
                  "at >= 200 connections)\n");
     return 1;
   }
-  if (!CheckDrainUnderTraffic(schema, plan, gate_model)) {
+  if (!CheckDrainUnderTraffic(schema, plan)) {
     std::fprintf(stderr,
                  "bench_daemon: FAILED (drain-under-traffic contract)\n");
     return 1;
@@ -519,8 +489,7 @@ int RunAll(bool smoke, bool model_given, DaemonIoModel model,
   // soundness (zero drops, at least one live scrape); the full run gates
   // the 400-session row on the <3% throughput ceiling.
   E17Result e17 = MeasureTelemetryOverhead(
-      schema, plan, gate_model, smoke ? 64 : 400, smoke ? 1000 : 3000,
-      smoke ? 1 : 3);
+      schema, plan, smoke ? 64 : 400, smoke ? 1000 : 3000, smoke ? 1 : 3);
   if (e17.scrapes == 0) {
     std::fprintf(stderr,
                  "bench_daemon: FAILED (E17 produced no sound "
@@ -543,19 +512,18 @@ int RunAll(bool smoke, bool model_given, DaemonIoModel model,
       return 1;
     }
     out << "{\n  \"experiment\": \"E13/E16/E17\",\n  \"tool\": "
-        << "\"bench_daemon\","
-        << "\n  \"unit\": \"client-observed round-trip latency (us), "
+        << "\"bench_daemon\",\n  \"host\": " << bench::HostJson()
+        << ",\n  \"unit\": \"client-observed round-trip latency (us), "
         << "completed conversions/sec, closed loop\",\n  \"rows\": [\n";
     char line[320];
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::snprintf(line, sizeof(line),
-                    "    {\"io_model\": \"%s\", \"connections\": %d, "
-                    "\"completed\": %llu, "
+                    "    {\"connections\": %d, \"completed\": %llu, "
                     "\"backpressure\": %llu, \"dropped\": %llu, "
                     "\"conversions_per_sec\": %.1f, \"p50_us\": %llu, "
                     "\"p99_us\": %llu}%s\n",
-                    DaemonIoModelName(row.io_model), row.connections,
+                    row.connections,
                     static_cast<unsigned long long>(row.completed),
                     static_cast<unsigned long long>(row.backpressure),
                     static_cast<unsigned long long>(row.dropped),
@@ -567,11 +535,11 @@ int RunAll(bool smoke, bool model_given, DaemonIoModel model,
     }
     out << "  ],\n";
     std::snprintf(line, sizeof(line),
-                  "  \"e17\": {\"io_model\": \"%s\", \"connections\": %d, "
+                  "  \"e17\": {\"connections\": %d, "
                   "\"baseline_conversions_per_sec\": %.1f, "
                   "\"telemetry_conversions_per_sec\": %.1f, "
                   "\"delta_pct\": %.2f, \"scrapes\": %llu}\n",
-                  DaemonIoModelName(gate_model), e17.baseline.connections,
+                  e17.baseline.connections,
                   e17.baseline.conversions_per_sec,
                   e17.telemetry.conversions_per_sec, e17.delta * 100.0,
                   static_cast<unsigned long long>(e17.scrapes));
@@ -587,30 +555,16 @@ int RunAll(bool smoke, bool model_given, DaemonIoModel model,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool model_given = false;
-  dbpc::DaemonIoModel model = dbpc::DaemonIoModel::kThreads;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--io-model") == 0 && i + 1 < argc) {
-      dbpc::Result<dbpc::DaemonIoModel> parsed =
-          dbpc::ParseDaemonIoModel(argv[++i]);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bench_daemon: %s\n",
-                     parsed.status().ToString().c_str());
-        return 2;
-      }
-      model = *parsed;
-      model_given = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_daemon [--smoke] [--io-model threads|epoll] "
-                   "[--json <file>]\n");
+      std::fprintf(stderr, "usage: bench_daemon [--smoke] [--json <file>]\n");
       return 2;
     }
   }
-  return dbpc::RunAll(smoke, model_given, model, json_path);
+  return dbpc::RunAll(smoke, json_path);
 }

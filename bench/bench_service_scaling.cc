@@ -36,23 +36,25 @@ void BM_ServiceScaling(benchmark::State& state) {
       ConversionService::Create(db.schema(), plan, options), "create service");
 
   std::vector<CorpusProgram> corpus = GenerateCompanyCorpus(corpus_size, 1979);
-  std::vector<Program> programs;
-  programs.reserve(corpus.size());
+  std::vector<ConversionRequest> requests;
+  requests.reserve(corpus.size());
   for (const CorpusProgram& entry : corpus) {
-    programs.push_back(entry.program);
+    ConversionRequest request;
+    request.program = entry.program;
+    requests.push_back(std::move(request));
   }
 
   int accepted = 0;
   for (auto _ : state) {
     SystemConversionReport report =
-        bench::Value(service->ConvertSystem(programs), "convert system");
+        bench::Value(service->ConvertSystem(requests), "convert system");
     accepted = report.accepted;
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(programs.size()));
+                          static_cast<int64_t>(requests.size()));
   state.counters["jobs"] = jobs;
-  state.counters["programs"] = static_cast<double>(programs.size());
+  state.counters["programs"] = static_cast<double>(requests.size());
   state.counters["accepted"] = accepted;
 }
 
@@ -80,10 +82,12 @@ void RunTracingArm(benchmark::State& state, bool traced) {
   std::vector<const Transformation*> plan{owned[0].get()};
 
   std::vector<CorpusProgram> corpus = GenerateCompanyCorpus(corpus_size, 1979);
-  std::vector<Program> programs;
-  programs.reserve(corpus.size());
+  std::vector<ConversionRequest> requests;
+  requests.reserve(corpus.size());
   for (const CorpusProgram& entry : corpus) {
-    programs.push_back(entry.program);
+    ConversionRequest request;
+    request.program = entry.program;
+    requests.push_back(std::move(request));
   }
 
   size_t roots = 0;
@@ -98,7 +102,7 @@ void RunTracingArm(benchmark::State& state, bool traced) {
         "create service");
     auto start = std::chrono::steady_clock::now();
     SystemConversionReport report =
-        bench::Value(service->ConvertSystem(programs), "convert system");
+        bench::Value(service->ConvertSystem(requests), "convert system");
     auto stop = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(report);
     roots = spans.RootCount();
@@ -107,9 +111,9 @@ void RunTracingArm(benchmark::State& state, bool traced) {
             .count());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(programs.size()));
+                          static_cast<int64_t>(requests.size()));
   state.counters["jobs"] = jobs;
-  state.counters["programs"] = static_cast<double>(programs.size());
+  state.counters["programs"] = static_cast<double>(requests.size());
   state.counters["spans.roots"] = static_cast<double>(roots);
 }
 

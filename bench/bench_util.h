@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "lang/parser.h"
 #include "restructure/transformation.h"
 #include "testing/fixtures.h"
@@ -34,27 +35,41 @@ inline Program MustParseProgram(const std::string& source) {
   return Value(ParseProgram(source), "parse program");
 }
 
-/// One-line description of the measuring host and build, printed beside
-/// wall-clock rows: nanosecond figures mean little without it.
-inline std::string HostStamp() {
-  std::string cpu = "unknown";
+/// The CPU model name from /proc/cpuinfo ("unknown" where there is none).
+inline std::string HostCpu() {
   std::ifstream info("/proc/cpuinfo");
   std::string line;
   while (std::getline(info, line)) {
     if (line.rfind("model name", 0) == 0) {
       size_t colon = line.find(':');
-      if (colon != std::string::npos) cpu = line.substr(colon + 2);
+      if (colon != std::string::npos) return line.substr(colon + 2);
       break;
     }
   }
+  return "unknown";
+}
+
 #ifdef __OPTIMIZE__
-  const char* optimized = "yes";
+inline constexpr bool kOptimizedBuild = true;
 #else
-  const char* optimized = "no";
+inline constexpr bool kOptimizedBuild = false;
 #endif
+
+/// One-line description of the measuring host and build, printed beside
+/// wall-clock rows: nanosecond figures mean little without it.
+inline std::string HostStamp() {
   return "nproc=" + std::to_string(std::thread::hardware_concurrency()) +
-         " cpu=\"" + cpu + "\" compiler=\"gcc " + __VERSION__ +
-         "\" optimized=" + optimized;
+         " cpu=\"" + HostCpu() + "\" compiler=\"gcc " + __VERSION__ +
+         "\" optimized=" + (kOptimizedBuild ? "yes" : "no");
+}
+
+/// HostStamp's fields as a JSON object, for the `host` key of BENCH files.
+inline std::string HostJson() {
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": \"" + EscapeJsonString(HostCpu()) +
+         "\", \"compiler\": \"gcc " + EscapeJsonString(__VERSION__) +
+         "\", \"optimized\": " + (kOptimizedBuild ? "true" : "false") + "}";
 }
 
 /// The Figure 4.2 -> 4.4 restructuring used across benchmarks.

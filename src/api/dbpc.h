@@ -30,10 +30,8 @@
 ///                    the one request model shared by the in-process
 ///                    service and the dbpcd wire protocol)
 ///   Batch service    ConversionService, ServiceOptions (parallel
-///                    whole-system conversion with metrics).
-///                    `ConvertSystem(std::vector<Program>)` is a
-///                    deprecated shim kept for one release; submit
-///                    ConversionRequests instead.
+///                    whole-system conversion of ConversionRequests, with
+///                    metrics).
 ///   Network daemon   ConversionDaemon, DaemonOptions, DaemonClient
 ///                    (daemon/daemon.h, daemon/client.h; wire protocol in
 ///                    DAEMON.md)

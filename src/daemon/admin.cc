@@ -25,9 +25,8 @@
 namespace dbpc {
 
 #if !defined(__linux__)
-// Reactor mode never runs off Linux (the daemon only passes a reactor under
-// io_model=epoll, which Validate rejects there); only the mask constants
-// are needed to compile.
+// The server never runs off Linux (no Reactor can be created there); only
+// the mask constants are needed to compile.
 constexpr uint32_t EPOLLIN = 0x001;
 constexpr uint32_t EPOLLOUT = 0x004;
 constexpr uint32_t EPOLLERR = 0x008;
@@ -236,16 +235,16 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
 // --- AdminServer ---
 
 AdminServer::AdminServer(AdminOptions options, AdminHooks hooks,
-                         Reactor* reactor)
+                         Reactor& reactor)
     : options_(std::move(options)),
       hooks_(std::move(hooks)),
-      reactor_(reactor) {}
+      reactor_(&reactor) {}
 
 AdminServer::~AdminServer() { Stop(); }
 
 Result<std::unique_ptr<AdminServer>> AdminServer::Start(AdminOptions options,
                                                         AdminHooks hooks,
-                                                        Reactor* reactor) {
+                                                        Reactor& reactor) {
   if (hooks.metrics == nullptr) {
     return Status::InvalidArgument("AdminHooks::metrics must be set");
   }
@@ -257,20 +256,13 @@ Result<std::unique_ptr<AdminServer>> AdminServer::Start(AdminOptions options,
   std::unique_ptr<AdminServer> server(
       new AdminServer(std::move(options), std::move(hooks), reactor));
   DBPC_RETURN_IF_ERROR(server->Listen());
-  if (server->reactor_ != nullptr) {
-    std::promise<Status> registered;
-    AdminServer* raw = server.get();
-    server->reactor_->Post(
-        [raw, &registered] { registered.set_value(raw->RegisterOnLoop()); });
-    Status status = registered.get_future().get();
-    if (!status.ok()) return status;
-  } else {
-    server->accept_thread_ =
-        std::thread([raw = server.get()] { raw->AcceptLoop(); });
-  }
+  std::promise<Status> registered;
+  AdminServer* raw = server.get();
+  reactor.Post(
+      [raw, &registered] { registered.set_value(raw->RegisterOnLoop()); });
+  DBPC_RETURN_IF_ERROR(registered.get_future().get());
   DBPC_LOG(LogLevel::kInfo, "admin_listening",
-           {"host", server->options_.host}, {"port", server->port_},
-           {"mode", server->reactor_ != nullptr ? "reactor" : "thread"});
+           {"host", server->options_.host}, {"port", server->port_});
   return server;
 }
 
@@ -334,7 +326,7 @@ std::string AdminServer::BuildResponse(const HttpRequest& request) {
   return PlainResponse(404, "not found (try /metrics /healthz /readyz /varz)\n");
 }
 
-// --- Reactor mode (loop thread) ---
+// --- Loop thread ---
 
 Status AdminServer::RegisterOnLoop() {
   SetNonBlocking(listen_fd_);
@@ -469,119 +461,21 @@ void AdminServer::TeardownOnLoop() {
   for (int fd : fds) CloseConn(fd);
 }
 
-// --- Thread mode ---
-
-void AdminServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int rc = ::poll(&pfd, 1, 100);
-    if (rc <= 0) continue;  // tick: re-check stopping_
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    {
-      // Registered before the thread exists so Stop() cannot miss it.
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      open_fds_.insert(fd);
-      ++active_conns_;
-    }
-    std::thread([this, fd] { ServeConnection(fd); }).detach();
-  }
-}
-
-void AdminServer::ServeConnection(int fd) {
-  SteadyClock::time_point deadline =
-      SteadyClock::now() + std::chrono::milliseconds(options_.io_timeout_ms);
-  HttpRequestParser parser(options_.max_request_bytes);
-  std::string out;
-  char buf[2048];
-  while (parser.state() == HttpRequestParser::State::kNeedMore) {
-    int remaining = RemainingMs(deadline);
-    if (remaining == 0) break;
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int rc = ::poll(&pfd, 1, remaining);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      break;  // timeout or poll failure
-    }
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      parser.Consume(std::string_view(buf, static_cast<size_t>(n)));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EOF or read error before a complete head
-  }
-  if (parser.state() == HttpRequestParser::State::kDone) {
-    out = BuildResponse(parser.request());
-  } else if (parser.state() == HttpRequestParser::State::kError) {
-    out = PlainResponse(400, parser.error() + "\n");
-  }
-  size_t sent = 0;
-  while (sent < out.size()) {
-    int remaining = RemainingMs(deadline);
-    if (remaining == 0) break;
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    pfd.revents = 0;
-    int rc = ::poll(&pfd, 1, remaining);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      break;
-    }
-    ssize_t n =
-        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-    break;
-  }
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    open_fds_.erase(fd);
-    --active_conns_;
-    // Notify while still holding the lock: Stop()'s waiter may destroy this
-    // object the moment it observes active_conns_ == 0, so this thread's
-    // last touch of *this must be the unlock that releases that waiter.
-    conns_cv_.notify_all();
-  }
-}
-
 void AdminServer::Stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
-  if (reactor_ != nullptr) {
-    std::promise<void> done;
-    reactor_->Post([this, &done] {
-      TeardownOnLoop();
-      done.set_value();
-    });
-    // The daemon stops the admin plane before its reactors, so the posted
-    // teardown runs; the timed fallback only covers a mis-ordered caller
-    // (loop already gone — its thread is dead, so direct closes are safe).
-    if (done.get_future().wait_for(std::chrono::seconds(5)) ==
-        std::future_status::timeout) {
-      TeardownOnLoop();
-    }
-    return;
+  std::promise<void> done;
+  reactor_->Post([this, &done] {
+    TeardownOnLoop();
+    done.set_value();
+  });
+  // The daemon stops the admin plane before its reactors, so the posted
+  // teardown runs; the timed fallback only covers a mis-ordered caller
+  // (loop already gone — its thread is dead, so direct closes are safe).
+  if (done.get_future().wait_for(std::chrono::seconds(5)) ==
+      std::future_status::timeout) {
+    TeardownOnLoop();
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::unique_lock<std::mutex> lock(conns_mu_);
-  for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-  conns_cv_.wait(lock, [this] { return active_conns_ == 0; });
 }
 
 // --- HttpGet ---

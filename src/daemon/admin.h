@@ -2,16 +2,12 @@
 #define DBPC_DAEMON_ADMIN_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "common/metrics.h"
 #include "common/result.h"
@@ -77,7 +73,7 @@ class HttpRequestParser {
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
 
 /// Callbacks the admin endpoint serves from. All of them must be safe to
-/// call from the admin plane's serving thread(s) for the server's lifetime.
+/// call from the reactor's loop thread for the server's lifetime.
 struct AdminHooks {
   /// Snapshot source for /metrics and /varz. Required.
   MetricsRegistry* metrics = nullptr;
@@ -104,18 +100,15 @@ struct AdminOptions {
 /// The HTTP/1.0 admin endpoint: GET /metrics, /healthz, /readyz, /varz.
 /// Every response closes the connection (Connection: close).
 ///
-/// Two serving modes, mirroring the daemon's io-models:
-///  - with a Reactor (epoll io-model): the listener and every connection
-///    are non-blocking state machines on that reactor — scrapes ride the
-///    same event loop as sessions, no extra threads. The caller must Stop()
-///    the admin server *before* stopping the reactor.
-///  - without (threads io-model / non-Linux): a dedicated accept thread
-///    plus one short-lived thread per connection.
+/// The listener and every connection are non-blocking state machines on
+/// the given reactor — scrapes ride the same event loop as the daemon's
+/// sessions, no extra threads. The caller must Stop() the admin server
+/// *before* stopping the reactor.
 class AdminServer {
  public:
   static Result<std::unique_ptr<AdminServer>> Start(AdminOptions options,
                                                     AdminHooks hooks,
-                                                    Reactor* reactor);
+                                                    Reactor& reactor);
 
   ~AdminServer();
   AdminServer(const AdminServer&) = delete;
@@ -124,8 +117,8 @@ class AdminServer {
   /// The actual bound port (== options.port unless that was 0).
   int port() const { return port_; }
 
-  /// Closes the listener and every open connection; joins serving threads.
-  /// Idempotent. In reactor mode this must run before Reactor::Stop.
+  /// Closes the listener and every open connection. Idempotent; must run
+  /// before Reactor::Stop.
   void Stop();
 
   /// The routing table, exposed for tests: the full HTTP response bytes
@@ -133,7 +126,7 @@ class AdminServer {
   std::string BuildResponse(const HttpRequest& request);
 
  private:
-  /// One connection in reactor mode; loop-thread-only.
+  /// One connection; loop-thread-only.
   struct ReactorConn {
     explicit ReactorConn(size_t max_request_bytes)
         : parser(max_request_bytes) {}
@@ -146,11 +139,11 @@ class AdminServer {
     Reactor::TimerId deadline = Reactor::kInvalidTimer;
   };
 
-  AdminServer(AdminOptions options, AdminHooks hooks, Reactor* reactor);
+  AdminServer(AdminOptions options, AdminHooks hooks, Reactor& reactor);
 
   Status Listen();
 
-  // --- Reactor mode (all on the loop thread) ---
+  // --- All on the loop thread ---
   Status RegisterOnLoop();
   void OnAccept();
   void OnConnEvent(int fd, uint32_t events);
@@ -160,27 +153,16 @@ class AdminServer {
   void CloseConn(int fd);
   void TeardownOnLoop();
 
-  // --- Thread mode ---
-  void AcceptLoop();
-  void ServeConnection(int fd);
-
   AdminOptions options_;
   AdminHooks hooks_;
-  Reactor* reactor_;  ///< null in thread mode
+  Reactor* reactor_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
 
-  // Reactor mode: loop-thread-only connection table.
+  // Loop-thread-only connection table.
   uint64_t listen_token_ = 0;
   std::map<int, std::unique_ptr<ReactorConn>> conns_;
-
-  // Thread mode: accept thread + per-connection thread tracking.
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::condition_variable conns_cv_;
-  std::set<int> open_fds_;
-  int active_conns_ = 0;
 };
 
 /// A small blocking HTTP GET client for tests, tools and benches (the

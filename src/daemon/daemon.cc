@@ -22,9 +22,9 @@
 namespace dbpc {
 
 #if !defined(__linux__)
-// The epoll session state machine is compiled everywhere (the Reactor has
-// non-Linux stubs and Validate rejects io_model=epoll off Linux, so it
-// never runs); only the event-mask constants need substitutes.
+// The session state machine is compiled everywhere (the Reactor has
+// non-Linux stubs, so Start fails before a session exists); only the
+// event-mask constants need substitutes.
 constexpr uint32_t EPOLLIN = 0x001;
 constexpr uint32_t EPOLLOUT = 0x004;
 constexpr uint32_t EPOLLERR = 0x008;
@@ -50,17 +50,6 @@ Status PositiveKnob(const char* knob, int value) {
 }
 
 }  // namespace
-
-const char* DaemonIoModelName(DaemonIoModel model) {
-  return model == DaemonIoModel::kEpoll ? "epoll" : "threads";
-}
-
-Result<DaemonIoModel> ParseDaemonIoModel(const std::string& name) {
-  if (name == "threads") return DaemonIoModel::kThreads;
-  if (name == "epoll") return DaemonIoModel::kEpoll;
-  return Status::InvalidArgument("unknown io model \"" + name +
-                                 "\" (want threads|epoll)");
-}
 
 Status DaemonOptions::Validate() const {
   if (host.empty()) {
@@ -102,12 +91,6 @@ Status DaemonOptions::Validate() const {
         "DaemonOptions::slow_request_ms must be >= 0 (got " +
         std::to_string(slow_request_ms) + ")");
   }
-#if !defined(__linux__)
-  if (io_model == DaemonIoModel::kEpoll) {
-    return Status::Unsupported(
-        "DaemonOptions::io_model=epoll requires Linux; use io_model=threads");
-  }
-#endif
   return service.Validate();
 }
 
@@ -144,13 +127,11 @@ Result<std::unique_ptr<ConversionDaemon>> ConversionDaemon::Start(
   daemon->active_sessions_gauge_ = metrics.GetGauge("daemon.active_sessions");
   daemon->parked_sessions_gauge_ = metrics.GetGauge("daemon.parked_sessions");
   daemon->started_at_ = std::chrono::steady_clock::now();
-  if (daemon->options_.io_model == DaemonIoModel::kEpoll) {
-    for (int i = 0; i < daemon->options_.io_threads; ++i) {
-      auto shard = std::make_unique<ReactorShard>();
-      DBPC_ASSIGN_OR_RETURN(shard->reactor,
-                            Reactor::Create("dbpcd-io-" + std::to_string(i)));
-      daemon->shards_.push_back(std::move(shard));
-    }
+  for (int i = 0; i < daemon->options_.io_threads; ++i) {
+    auto shard = std::make_unique<ReactorShard>();
+    DBPC_ASSIGN_OR_RETURN(shard->reactor,
+                          Reactor::Create("dbpcd-io-" + std::to_string(i)));
+    daemon->shards_.push_back(std::move(shard));
   }
   DBPC_RETURN_IF_ERROR(daemon->Listen());
   DBPC_RETURN_IF_ERROR(daemon->StartAdmin());
@@ -159,7 +140,7 @@ Result<std::unique_ptr<ConversionDaemon>> ConversionDaemon::Start(
   DBPC_LOG(LogLevel::kInfo, "daemon_started",
            LogField("host", daemon->options_.host),
            LogField("port", daemon->port_),
-           LogField("io_model", DaemonIoModelName(daemon->options_.io_model)),
+           LogField("io_model", "epoll"),
            LogField("admin_port", daemon->admin_port()),
            LogField("jobs", daemon->options_.service.jobs));
   return daemon;
@@ -177,9 +158,8 @@ Status ConversionDaemon::StartAdmin() {
   };
   hooks.varz_json = [this] { return VarzJson(); };
   hooks.refresh = [this] { RefreshGauges(); };
-  Reactor* reactor = shards_.empty() ? nullptr : shards_[0]->reactor.get();
-  DBPC_ASSIGN_OR_RETURN(admin_,
-                        AdminServer::Start(admin_options, hooks, reactor));
+  DBPC_ASSIGN_OR_RETURN(
+      admin_, AdminServer::Start(admin_options, hooks, *shards_[0]->reactor));
   return Status::OK();
 }
 
@@ -196,9 +176,8 @@ std::string ConversionDaemon::VarzJson() {
       std::chrono::duration_cast<std::chrono::seconds>(
           std::chrono::steady_clock::now() - started_at_)
           .count());
-  std::string out = "{\"server\":\"dbpcd\",\"io_model\":\"";
-  out += DaemonIoModelName(options_.io_model);
-  out += "\",\"port\":" + std::to_string(port_);
+  std::string out = "{\"server\":\"dbpcd\",\"io_model\":\"epoll\"";
+  out += ",\"port\":" + std::to_string(port_);
   out += ",\"uptime_s\":" + std::to_string(uptime_s);
   out += ",\"draining\":";
   out += draining() ? "true" : "false";
@@ -272,7 +251,6 @@ void ConversionDaemon::AcceptLoop() {
       } else {
         ++active_sessions_;
         active_sessions_gauge_->Set(active_sessions_);
-        session_socks_.insert(sock.get());
       }
     }
     if (reject) {
@@ -288,81 +266,23 @@ void ConversionDaemon::AcceptLoop() {
       continue;  // sock destructor closes
     }
     uint64_t session_id = next_session_id_++;
-    if (options_.io_model == DaemonIoModel::kEpoll) {
-      // Sessions are pinned to a shard for life, so all their state is
-      // loop-thread-local; the Post is the only cross-thread hop.
-      ReactorShard* shard = shards_[next_shard_++ % shards_.size()].get();
-      shard->reactor->Post([this, shard, session_id, raw = sock.release()] {
-        StartEpollSession(shard, std::unique_ptr<SockBuffer>(raw),
-                          session_id);
-      });
-    } else {
-      std::thread([this, session_id, raw = sock.release()] {
-        SessionLoop(std::unique_ptr<SockBuffer>(raw), session_id);
-      }).detach();
-    }
+    // Sessions are pinned to a shard for life, so all their state is
+    // loop-thread-local; the Post is the only cross-thread hop.
+    ReactorShard* shard = shards_[next_shard_++ % shards_.size()].get();
+    shard->reactor->Post([this, shard, session_id, raw = sock.release()] {
+      StartEpollSession(shard, std::unique_ptr<SockBuffer>(raw), session_id);
+    });
   }
 }
 
-void ConversionDaemon::SessionLoop(std::unique_ptr<SockBuffer> sock,
-                                   uint64_t session_id) {
-  sock->WriteAll(GreetingLine());
-  bool quit = false;
-  while (!quit && !stopping_.load(std::memory_order_relaxed)) {
-    Result<std::string> line = sock->ReadLine();
-    if (!line.ok()) {
-      // Structured teardown: tell the peer why when the connection is
-      // still usable (idle timeout, oversized line), then end the session.
-      // Framing after an oversized line cannot be trusted, so no resync.
-      switch (line.status().code()) {
-        case StatusCode::kDeadlineExceeded:
-          sock->WriteAll(ErrReplyLine(
-              Status::DeadlineExceeded("idle timeout, closing session")));
-          break;
-        case StatusCode::kInvalidArgument:
-          protocol_errors_->Increment();
-          sock->WriteAll(ErrReplyLine(line.status()));
-          break;
-        default:  // peer closed / shutdown: nothing to say
-          break;
-      }
-      break;
-    }
-    if (line->empty()) continue;  // tolerate blank keep-alive lines
-    Result<WireCommand> command = ParseCommandLine(*line);
-    if (!command.ok()) {
-      // Malformed commands are answered, never fatal: the session loop
-      // must survive anything that still frames as a line.
-      protocol_errors_->Increment();
-      if (!sock->WriteAll(ErrReplyLine(command.status())).ok()) break;
-      continue;
-    }
-    if (!HandleCommand(*sock, *command, session_id, &quit).ok()) break;
-  }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    session_socks_.erase(sock.get());
-  }
-  sock.reset();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    --active_sessions_;
-    active_sessions_gauge_->Set(active_sessions_);
-    sessions_cv_.notify_all();
-  }
-}
-
-/// One epoll-model session. Where the threads model blocks a call stack,
-/// this is an explicit state machine: each state names what the session is
-/// waiting for, the reactor delivers the readiness/timer/wake events, and
-/// `Pump()` advances through as many states as the buffers allow without
-/// ever sleeping.
+/// One session, as an explicit state machine: each state names what the
+/// session is waiting for, the reactor delivers the readiness/timer/wake
+/// events, and `Pump()` advances through as many states as the buffers
+/// allow without ever sleeping.
 ///
 /// All methods run on the owning shard's loop thread (cross-thread wakes
-/// arrive via Reactor::Post). The wire behavior — reply bytes, teardown
-/// conditions, metric increments — deliberately mirrors SessionLoop/
-/// HandleCommand line by line; the differential tests assert the two
-/// models are byte-identical.
+/// arrive via Reactor::Post). The golden transcript test pins the reply
+/// bytes.
 class ConversionDaemon::EpollSession
     : public std::enable_shared_from_this<ConversionDaemon::EpollSession> {
  public:
@@ -416,10 +336,10 @@ class ConversionDaemon::EpollSession
     Pump();
   }
 
-  /// Closes the session: deregisters from the reactor, drops it from the
-  /// daemon's session registry, closes the socket, and releases the
-  /// shard's strong ref. Idempotent; safe mid-dispatch (callers hold a
-  /// strong ref across the call).
+  /// Closes the session: deregisters from the reactor, closes the socket,
+  /// releases its slot under the connection cap, and drops the shard's
+  /// strong ref. Idempotent; safe mid-dispatch (callers hold a strong ref
+  /// across the call).
   void Teardown() {
     if (state_ == State::kClosed) return;
     MarkUnparked();
@@ -429,16 +349,11 @@ class ConversionDaemon::EpollSession
       shard_->reactor->Remove(sock_->fd(), io_token_);
       io_token_ = 0;
     }
-    {
-      std::lock_guard<std::mutex> lock(daemon_->sessions_mu_);
-      daemon_->session_socks_.erase(sock_.get());
-    }
     sock_.reset();
     {
       std::lock_guard<std::mutex> lock(daemon_->sessions_mu_);
       --daemon_->active_sessions_;
       daemon_->active_sessions_gauge_->Set(daemon_->active_sessions_);
-      daemon_->sessions_cv_.notify_all();
     }
     shard_->sessions.erase(shared_from_this());
   }
@@ -451,6 +366,7 @@ class ConversionDaemon::EpollSession
     kWrite,           ///< Flushing a queued reply.
     kAwaitResult,     ///< Parked in RESULT ... WAIT; woken by job finish.
     kAwaitDrain,      ///< Parked in DRAIN; woken when pending hits zero.
+    kLinger,          ///< Framing error answered; discarding input.
     kClosed,
   };
 
@@ -470,12 +386,15 @@ class ConversionDaemon::EpollSession
         // Interest is empty while parked; only error/hangup gets through.
         if (events & (EPOLLERR | EPOLLHUP)) Teardown();
         return;
+      case State::kLinger:
+        // EOF, reset or error ends the linger; more input is dropped.
+        if (!sock_->DiscardInput().ok()) Teardown();
+        return;
       default: {  // reading states
         if (events & EPOLLIN) {
           Result<SockBuffer::IoStep> fill = sock_->FillOnce();
           if (!fill.ok()) {
-            // Peer closed / reset: silent teardown, as in the threads
-            // model's default ReadLine-failure branch.
+            // Peer closed / reset: nobody is left to answer.
             Teardown();
             return;
           }
@@ -497,6 +416,7 @@ class ConversionDaemon::EpollSession
         case State::kClosed:
         case State::kAwaitResult:
         case State::kAwaitDrain:
+        case State::kLinger:
           return;
 
         case State::kWrite: {
@@ -517,7 +437,11 @@ class ConversionDaemon::EpollSession
           }
           CancelDeadline();
           if (close_after_write_) {
-            Teardown();
+            if (linger_after_write_) {
+              Linger();
+            } else {
+              Teardown();
+            }
             return;
           }
           state_ = State::kReadCommand;
@@ -531,8 +455,7 @@ class ConversionDaemon::EpollSession
           if (!step.ok()) {
             // Oversized line: framing cannot be resynchronized, so the
             // structured error also ends the session.
-            daemon_->protocol_errors_->Increment();
-            QueueReply(ErrReplyLine(step.status()), /*close_after=*/true);
+            QueueFramingError(step.status());
             continue;
           }
           if (*step == SockBuffer::IoStep::kNeedMore) {
@@ -590,8 +513,8 @@ class ConversionDaemon::EpollSession
           std::string line;
           Result<SockBuffer::IoStep> step = sock_->TryReadLine(&line);
           if (!step.ok()) {
-            // Mirrors the threads model: a failed terminator read ends
-            // the session without a reply.
+            // A line past the limit where an empty one belongs: the peer
+            // is not speaking the protocol, so no reply.
             Teardown();
             return;
           }
@@ -605,11 +528,9 @@ class ConversionDaemon::EpollSession
           }
           CancelDeadline();
           if (!line.empty()) {
-            daemon_->protocol_errors_->Increment();
-            QueueReply(ErrReplyLine(Status::InvalidArgument(
-                           "payload must be followed by an empty line, "
-                           "closing session")),
-                       /*close_after=*/true);
+            QueueFramingError(Status::InvalidArgument(
+                "payload must be followed by an empty line, closing "
+                "session"));
             continue;
           }
           FinishSubmit();
@@ -619,8 +540,8 @@ class ConversionDaemon::EpollSession
     }
   }
 
-  /// Dispatches one parsed command — the epoll twin of the daemon's
-  /// HandleCommand, with blocking waits replaced by parked states.
+  /// Dispatches one parsed command. Replies are queued; waits (RESULT
+  /// WAIT, DRAIN) park the session instead of blocking the loop.
   void HandleCommand(const WireCommand& command) {
     switch (command.kind) {
       case CommandKind::kPing:
@@ -634,14 +555,12 @@ class ConversionDaemon::EpollSession
       case CommandKind::kSubmit: {
         if (command.payload_bytes >
             static_cast<size_t>(daemon_->options_.max_payload_bytes)) {
-          daemon_->protocol_errors_->Increment();
-          QueueReply(ErrReplyLine(Status::InvalidArgument(
-                         "payload of " +
-                         std::to_string(command.payload_bytes) +
-                         " bytes exceeds limit " +
-                         std::to_string(daemon_->options_.max_payload_bytes) +
-                         ", closing session")),
-                     /*close_after=*/true);
+          // The counted payload will not be read; framing is gone.
+          QueueFramingError(Status::InvalidArgument(
+              "payload of " + std::to_string(command.payload_bytes) +
+              " bytes exceeds limit " +
+              std::to_string(daemon_->options_.max_payload_bytes) +
+              ", closing session"));
           return;
         }
         pending_command_ = command;
@@ -807,7 +726,7 @@ class ConversionDaemon::EpollSession
 
   /// RESULT WAIT deadline. If the job actually finished in the race
   /// window (wake still in flight), answer with the result; otherwise
-  /// the same `-ERR deadline` the threads model produces.
+  /// `-ERR deadline`.
   void OnResultWaitTimeout() {
     if (state_ != State::kAwaitResult) return;
     MarkUnparked();
@@ -872,6 +791,27 @@ class ConversionDaemon::EpollSession
     state_ = State::kWrite;
   }
 
+  /// Answers a framing error; the session lingers, then closes, once the
+  /// reply is flushed.
+  void QueueFramingError(const Status& status) {
+    daemon_->protocol_errors_->Increment();
+    QueueReply(ErrReplyLine(status), /*close_after=*/true);
+    linger_after_write_ = true;
+  }
+
+  /// After a framing error the peer may still be sending (a payload over
+  /// the limit, the rest of an oversized line). Closing a socket that
+  /// holds unread input makes the kernel answer with a reset, which can
+  /// destroy the reply before the peer reads it. So shut the write side
+  /// (the peer reads the reply, then EOF) and drop input until the peer
+  /// closes or the read deadline passes.
+  void Linger() {
+    state_ = State::kLinger;
+    ::shutdown(sock_->fd(), SHUT_WR);
+    ArmDeadline(daemon_->options_.read_timeout_ms, [this] { Teardown(); });
+    SetInterest(EPOLLIN);
+  }
+
   void SetInterest(uint32_t events) {
     if (state_ == State::kClosed || events == current_events_) return;
     if (shard_->reactor->SetEvents(sock_->fd(), io_token_, events).ok()) {
@@ -882,7 +822,8 @@ class ConversionDaemon::EpollSession
   }
 
   /// Arms the single per-session deadline timer (one logical wait at a
-  /// time: line read, payload read, flush, result wait, or drain wait).
+  /// time: line read, payload read, flush, result wait, drain wait, or
+  /// linger).
   /// Capturing `this` is safe: every path to destruction runs Teardown,
   /// which cancels the timer on the same loop thread.
   void ArmDeadline(int ms, std::function<void()> fn) {
@@ -928,6 +869,7 @@ class ConversionDaemon::EpollSession
   uint32_t current_events_ = 0;
   State state_ = State::kWrite;
   bool close_after_write_ = false;
+  bool linger_after_write_ = false;  ///< Close via kLinger, not at once.
   bool deadline_armed_ = false;
   Reactor::TimerId timer_ = Reactor::kInvalidTimer;
   WireCommand pending_command_;  ///< The SUBMIT whose payload is read.
@@ -946,171 +888,6 @@ void ConversionDaemon::StartEpollSession(ReactorShard* shard,
     return;
   }
   session->Start();
-}
-
-Status ConversionDaemon::HandleCommand(SockBuffer& sock,
-                                       const WireCommand& command,
-                                       uint64_t session_id, bool* quit) {
-  switch (command.kind) {
-    case CommandKind::kPing:
-      return sock.WriteAll(OkReplyLine({{"pong", "1"}}));
-
-    case CommandKind::kQuit: {
-      *quit = true;
-      return sock.WriteAll(OkReplyLine({{"bye", "1"}}));
-    }
-
-    case CommandKind::kSubmit: {
-      if (command.payload_bytes >
-          static_cast<size_t>(options_.max_payload_bytes)) {
-        // The counted payload will not be read; framing is gone, so this
-        // error also ends the session (the reply says so).
-        protocol_errors_->Increment();
-        sock.WriteAll(ErrReplyLine(Status::InvalidArgument(
-            "payload of " + std::to_string(command.payload_bytes) +
-            " bytes exceeds limit " +
-            std::to_string(options_.max_payload_bytes) +
-            ", closing session")));
-        return Status::InvalidArgument("oversized payload");
-      }
-      Result<std::string> payload = sock.ReadExact(command.payload_bytes);
-      if (!payload.ok()) {
-        // Mid-request disconnect or stalled payload: the job was never
-        // admitted; nothing to clean up.
-        protocol_errors_->Increment();
-        if (payload.status().code() == StatusCode::kDeadlineExceeded) {
-          sock.WriteAll(ErrReplyLine(Status::DeadlineExceeded(
-              "payload not received in time, closing session")));
-        }
-        return payload.status();
-      }
-      Result<std::string> terminator = sock.ReadLine();
-      if (!terminator.ok()) return terminator.status();
-      if (!terminator->empty()) {
-        protocol_errors_->Increment();
-        sock.WriteAll(ErrReplyLine(Status::InvalidArgument(
-            "payload must be followed by an empty line, closing session")));
-        return Status::InvalidArgument("bad payload terminator");
-      }
-      Result<JobId> id = AdmitJob(
-          DecodeSubmit(command, std::move(payload).value()), session_id);
-      if (!id.ok()) {
-        // Backpressure (queue full, draining) or a bad request: answered
-        // on the wire, session stays up so the client can retry.
-        return sock.WriteAll(ErrReplyLine(id.status()));
-      }
-      return sock.WriteAll(OkReplyLine(
-          {{"id", std::to_string(*id)}, {"state", "queued"}}));
-    }
-
-    case CommandKind::kStatus: {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      auto it = jobs_.find(command.id);
-      if (it == jobs_.end()) {
-        return sock.WriteAll(ErrReplyLine(Status::NotFound(
-            "no such job " + std::to_string(command.id))));
-      }
-      return sock.WriteAll(
-          OkReplyLine({{"id", std::to_string(command.id)},
-                       {"state", JobStateName(it->second->state)}}));
-    }
-
-    case CommandKind::kResult: {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock<std::mutex> lock(jobs_mu_);
-        auto it = jobs_.find(command.id);
-        if (it == jobs_.end()) {
-          lock.unlock();
-          return sock.WriteAll(ErrReplyLine(Status::NotFound(
-              "no such job " + std::to_string(command.id))));
-        }
-        job = it->second;
-        auto finished = [&job] {
-          return job->state == JobState::kDone ||
-                 job->state == JobState::kFailed;
-        };
-        if (!finished() && command.wait) {
-          // The blocked wait is this model's equivalent of the epoll
-          // kAwaitResult park; count it in the same gauge.
-          parked_sessions_gauge_->Add(1);
-          jobs_cv_.wait_for(lock,
-                            std::chrono::milliseconds(options_.result_wait_ms),
-                            finished);
-          parked_sessions_gauge_->Sub(1);
-        }
-        if (!finished()) {
-          std::string state = JobStateName(job->state);
-          lock.unlock();
-          if (command.wait) {
-            return sock.WriteAll(ErrReplyLine(Status::DeadlineExceeded(
-                "job " + std::to_string(command.id) + " still " + state +
-                " after " + std::to_string(options_.result_wait_ms) +
-                "ms")));
-          }
-          return sock.WriteAll(OkReplyLine(
-              {{"id", std::to_string(command.id)}, {"state", state}}));
-        }
-      }
-      const ConversionResponse& response = job->response;
-      // Header + payload + terminator leave as one write: one syscall,
-      // and no Nagle/delayed-ACK stall between a reply's segments.
-      return sock.WriteAll(DataReply(EncodeResponsePayload(response),
-                                     ResponseFields(response)));
-    }
-
-    case CommandKind::kMetrics: {
-      return sock.WriteAll(DataReply(service_->metrics().ToJson(), {}));
-    }
-
-    case CommandKind::kTrace: {
-      // State and trace are copied out under jobs_mu_: RunJob writes
-      // job->response and job->state under the same lock, so reading them
-      // unlocked while the job runs would race (mirrors kResult).
-      bool found = false;
-      bool finished = false;
-      JobState state = JobState::kQueued;
-      std::string payload;
-      {
-        std::lock_guard<std::mutex> lock(jobs_mu_);
-        auto it = jobs_.find(command.id);
-        if (it != jobs_.end()) {
-          found = true;
-          state = it->second->state;
-          finished =
-              state == JobState::kDone || state == JobState::kFailed;
-          if (finished) payload = it->second->response.trace_text;
-        }
-      }
-      if (!found) {
-        return sock.WriteAll(ErrReplyLine(Status::NotFound(
-            "no such job " + std::to_string(command.id))));
-      }
-      if (!finished) {
-        return sock.WriteAll(ErrReplyLine(Status::Unavailable(
-            "job " + std::to_string(command.id) + " is still " +
-            JobStateName(state))));
-      }
-      if (payload.empty()) {
-        return sock.WriteAll(ErrReplyLine(Status::NotFound(
-            "job " + std::to_string(command.id) +
-            " was not submitted with trace=1")));
-      }
-      return sock.WriteAll(
-          DataReply(payload, {{"id", std::to_string(command.id)}}));
-    }
-
-    case CommandKind::kDrain: {
-      parked_sessions_gauge_->Add(1);
-      Status drained = Drain();
-      parked_sessions_gauge_->Sub(1);
-      if (!drained.ok()) return sock.WriteAll(ErrReplyLine(drained));
-      return sock.WriteAll(OkReplyLine(
-          {{"drained", "1"},
-           {"jobs_completed", std::to_string(jobs_completed())}}));
-    }
-  }
-  return Status::Internal("unhandled command kind");
 }
 
 Result<JobId> ConversionDaemon::AdmitJob(ConversionRequest request,
@@ -1312,12 +1089,6 @@ void ConversionDaemon::Stop() {
   }
   for (std::unique_ptr<ReactorShard>& shard : shards_) {
     shard->reactor->Stop();
-  }
-  // Unblock every session read and wait for the loops to unwind.
-  {
-    std::unique_lock<std::mutex> lock(sessions_mu_);
-    for (SockBuffer* sock : session_socks_) sock->Shutdown();
-    sessions_cv_.wait(lock, [this] { return active_sessions_ == 0; });
   }
   DBPC_LOG(LogLevel::kInfo, "daemon_stopped",
            LogField("jobs_admitted", jobs_admitted()),

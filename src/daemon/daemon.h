@@ -24,24 +24,6 @@
 
 namespace dbpc {
 
-/// How the daemon multiplexes sessions over threads.
-enum class DaemonIoModel {
-  /// One thread per connection, blocking I/O with per-call deadlines.
-  /// Simple, portable, and correct — but thread count equals *open*
-  /// sessions, so hundreds of mostly-idle connections still cost
-  /// scheduler pressure (the 400-session collapse in BENCH_daemon.json).
-  kThreads,
-  /// A small pool of epoll reactor threads; each session is a protocol
-  /// state machine whose waiting lives in the event loop (epoll interest +
-  /// timer heap), so cost scales with *active* sessions. Linux only.
-  kEpoll,
-};
-
-/// "threads" / "epoll" (stable tokens used by --io-model and metrics).
-const char* DaemonIoModelName(DaemonIoModel model);
-/// Inverse of DaemonIoModelName; kInvalidArgument for unknown tokens.
-Result<DaemonIoModel> ParseDaemonIoModel(const std::string& name);
-
 /// Network daemon configuration. The embedded ServiceOptions configure the
 /// conversion pipeline itself (worker count, default deadline, retries,
 /// supervisor knobs); everything else is the socket front-end.
@@ -80,23 +62,13 @@ struct DaemonOptions {
   /// Completed jobs retained for RESULT/TRACE queries; older results are
   /// evicted FIFO (their RESULT then answers `-ERR not-found`).
   int max_retained_results = 8192;
-  /// Session multiplexing strategy. The epoll reactor is the default where
-  /// it exists; `--io-model=threads` keeps the one-thread-per-connection
-  /// model for comparison and as the portable fallback.
-#if defined(__linux__)
-  DaemonIoModel io_model = DaemonIoModel::kEpoll;
-#else
-  DaemonIoModel io_model = DaemonIoModel::kThreads;
-#endif
-  /// Reactor threads (I/O shards) under kEpoll; sessions are assigned
-  /// round-robin at accept and stay on their shard for life. Ignored under
-  /// kThreads.
+  /// Reactor threads (I/O shards); sessions are assigned round-robin at
+  /// accept and stay on their shard for life.
   int io_threads = 2;
   /// HTTP admin endpoint (GET /metrics, /healthz, /readyz, /varz) on the
   /// listen host. -1 disables it; 0 binds an ephemeral port
-  /// (ConversionDaemon::admin_port() reports the actual one). Under the
-  /// epoll io-model the endpoint is served by the first reactor shard;
-  /// under threads it gets a dedicated accept thread.
+  /// (ConversionDaemon::admin_port() reports the actual one). The endpoint
+  /// is served by the first reactor shard.
   int admin_port = -1;
   /// Log one structured warn line for every request whose total latency
   /// (admission to completion) is at least this many milliseconds. 0
@@ -116,10 +88,12 @@ struct DaemonOptions {
 /// conversion staff; at production scale that batch becomes a service, so
 /// this daemon puts the wire protocol documented in DAEMON.md
 /// (submit/status/result/metrics/trace/drain, line-oriented with counted
-/// payloads) in front of the same pipeline the in-process API uses. One
-/// thread per session over a capped session count; conversions run on the
-/// service's worker pool; admission control bounds queued work and
-/// answers overload with backpressure errors instead of dropped requests.
+/// payloads) in front of the same pipeline the in-process API uses.
+/// Sessions are non-blocking state machines on a few epoll reactor
+/// threads (Linux only: off Linux, Start fails with kUnsupported);
+/// conversions run on the service's worker pool; admission control bounds
+/// queued work and answers overload with backpressure errors instead of
+/// dropped requests.
 ///
 /// Lifecycle: Start() binds/listens and returns; Drain() (idempotent, also
 /// triggered by the DRAIN command and by dbpcd's SIGTERM handler) stops
@@ -158,9 +132,8 @@ class ConversionDaemon {
   /// SIGTERM — just waits for the same condition again.
   Status Drain();
 
-  /// Drain + tear down: closes the listener, shuts every session socket
-  /// down (blocked reads fail over immediately), and joins the accept
-  /// thread and all sessions. Idempotent.
+  /// Drain + tear down: closes the listener, closes every session on its
+  /// reactor, and joins the accept and reactor threads. Idempotent.
   void Stop();
 
   bool draining() const;
@@ -179,10 +152,11 @@ class ConversionDaemon {
     std::chrono::steady_clock::time_point admitted_at;
   };
 
-  /// One session under the epoll io-model: an explicit protocol state
-  /// machine (read-command → read-payload → read-terminator → write, with
-  /// parked await-result / await-drain states) driven by reactor events.
-  /// Defined in daemon.cc; lives on exactly one reactor shard.
+  /// One session: an explicit protocol state machine (read-command →
+  /// read-payload → read-terminator → write, with parked await-result /
+  /// await-drain states and a linger after framing errors) driven by
+  /// reactor events. Defined in daemon.cc; lives on exactly one reactor
+  /// shard.
   class EpollSession;
 
   /// One reactor thread plus its loop-thread-owned session set.
@@ -193,7 +167,7 @@ class ConversionDaemon {
     std::set<std::shared_ptr<EpollSession>> sessions;
   };
 
-  /// A parked epoll session waiting for a job (RESULT WAIT) or for the
+  /// A parked session waiting for a job (RESULT WAIT) or for the
   /// drain to complete (DRAIN). Registered under jobs_mu_; woken with a
   /// Post to its shard's reactor. The weak_ptr makes a torn-down session's
   /// wake a no-op.
@@ -206,19 +180,13 @@ class ConversionDaemon {
 
   Status Listen();
   /// Starts the admin endpoint when options_.admin_port >= 0 (no-op
-  /// otherwise). Under epoll it rides shards_[0]'s reactor.
+  /// otherwise). It rides shards_[0]'s reactor.
   Status StartAdmin();
   void AcceptLoop();
-  void SessionLoop(std::unique_ptr<SockBuffer> sock, uint64_t session_id);
   /// Loop-thread entry: registers an accepted socket as an EpollSession on
   /// `shard` and starts its state machine.
   void StartEpollSession(ReactorShard* shard, std::unique_ptr<SockBuffer> sock,
                          uint64_t session_id);
-  /// Dispatches one parsed command; returns a non-OK status only for I/O
-  /// failures that end the session (protocol-level errors are answered on
-  /// the wire and keep the session alive).
-  Status HandleCommand(SockBuffer& sock, const WireCommand& command,
-                       uint64_t session_id, bool* quit);
   Result<JobId> AdmitJob(ConversionRequest request, uint64_t session_id);
   void RunJob(std::shared_ptr<Job> job);
   /// Evicts completed results beyond max_retained_results. Caller holds
@@ -245,28 +213,26 @@ class ConversionDaemon {
   std::thread accept_thread_;
   uint64_t next_session_id_ = 1;  ///< Accept-thread only.
 
-  /// Epoll io-model only: the reactor shards. Created in Start, torn down
-  /// in Stop (sessions closed via a posted sweep, then reactors joined).
+  /// The reactor shards. Created in Start, torn down in Stop (sessions
+  /// closed via a posted sweep, then reactors joined).
   std::vector<std::unique_ptr<ReactorShard>> shards_;
   size_t next_shard_ = 0;  ///< Round-robin accept assignment (accept thread).
 
-  // Sessions: detached threads tracked by count; their SockBuffers are
-  // registered here so Stop() can shut them down and unblock reads.
+  // Open sessions: counted at accept (the connection cap), released by
+  // each session's Teardown on its loop thread.
   mutable std::mutex sessions_mu_;
-  std::condition_variable sessions_cv_;
-  std::set<SockBuffer*> session_socks_;
   int active_sessions_ = 0;
 
   // Jobs: admission bookkeeping and the result table.
   mutable std::mutex jobs_mu_;
   std::condition_variable jobs_cv_;
   std::map<JobId, std::shared_ptr<Job>> jobs_;
-  /// Epoll sessions parked in RESULT WAIT, keyed by the awaited job;
+  /// Sessions parked in RESULT WAIT, keyed by the awaited job;
   /// RunJob moves a job's waiters out under jobs_mu_ — the same critical
   /// section that marks the job finished — so a session that checked
   /// "not finished" and registered atomically cannot miss its wake.
   std::map<JobId, std::vector<ResultWaiter>> result_waiters_;
-  /// Epoll sessions parked in DRAIN, woken when pending_ reaches zero.
+  /// Sessions parked in DRAIN, woken when pending_ reaches zero.
   std::vector<ResultWaiter> drain_waiters_;
   std::deque<JobId> completed_order_;
   JobId next_id_ = 1;

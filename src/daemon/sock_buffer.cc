@@ -98,15 +98,6 @@ size_t SockBuffer::RecycledBufferPoolSize() {
   return BufferPool::Instance().Size();
 }
 
-void SockBuffer::Shutdown() {
-  shutdown_.store(true, std::memory_order_relaxed);
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-bool SockBuffer::shutdown_requested() const {
-  return shutdown_.load(std::memory_order_relaxed);
-}
-
 void SockBuffer::MaybeResetInput() {
   if (head_ == buffer_.size()) {
     buffer_.clear();  // capacity retained for the next request
@@ -128,13 +119,21 @@ Result<SockBuffer::IoStep> SockBuffer::FillOnce() {
       buffer_.append(chunk, static_cast<size_t>(n));
       return IoStep::kReady;
     }
-    if (n == 0) {
-      return Status::Unavailable(shutdown_requested()
-                                     ? "session shut down"
-                                     : "connection closed by peer");
-    }
+    if (n == 0) return Status::Unavailable("connection closed by peer");
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStep::kNeedMore;
+    return Status::Unavailable(std::string("recv: ") + strerror(errno));
+  }
+}
+
+Status SockBuffer::DiscardInput() {
+  char chunk[16384];
+  for (;;) {
+    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n > 0) return Status::OK();
+    if (n == 0) return Status::Unavailable("connection closed by peer");
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
     return Status::Unavailable(std::string("recv: ") + strerror(errno));
   }
 }
@@ -199,7 +198,6 @@ Result<std::string> SockBuffer::ReadLine() {
     std::string line;
     DBPC_ASSIGN_OR_RETURN(IoStep step, TryReadLine(&line));
     if (step == IoStep::kReady) return line;
-    if (shutdown_requested()) return Status::Unavailable("session shut down");
     DBPC_RETURN_IF_ERROR(FillBuffer(RemainingMs(deadline)));
   }
 }
@@ -211,7 +209,6 @@ Result<std::string> SockBuffer::ReadExact(size_t n) {
     std::string payload;
     DBPC_ASSIGN_OR_RETURN(IoStep step, TryReadExact(n, &payload));
     if (step == IoStep::kReady) return payload;
-    if (shutdown_requested()) return Status::Unavailable("session shut down");
     DBPC_RETURN_IF_ERROR(FillBuffer(RemainingMs(deadline)));
   }
 }
@@ -249,7 +246,6 @@ Status SockBuffer::Flush() {
   Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(limits_.write_timeout_ms);
   for (;;) {
-    if (shutdown_requested()) return Status::Unavailable("session shut down");
     DBPC_ASSIGN_OR_RETURN(IoStep step, FlushQueued());
     if (step == IoStep::kReady) return Status::OK();
     long long remaining = RemainingMs(deadline);

@@ -1,7 +1,6 @@
 #ifndef DBPC_DAEMON_SOCK_BUFFER_H_
 #define DBPC_DAEMON_SOCK_BUFFER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -17,7 +16,7 @@ namespace dbpc {
 ///  - Every blocking read call carries a whole-call deadline
 ///    (`read_timeout_ms` measured from the call, not per chunk), so a peer
 ///    trickling one byte per poll interval — the slow-loris pattern —
-///    cannot hold a session thread past the timeout.
+///    cannot hold the caller past the timeout.
 ///  - `ReadLine` enforces `max_line_bytes` before a newline arrives;
 ///    an oversized line is a structured kInvalidArgument error, not an
 ///    unbounded buffer.
@@ -27,10 +26,11 @@ namespace dbpc {
 /// The class exposes two layers over one pair of buffers:
 ///
 ///  - A **blocking** API (`ReadLine`/`ReadExact`/`WriteAll`/`Flush`) used
-///    by the thread-per-connection io-model and by clients; waiting is
-///    done with `poll()` under the call deadline.
+///    by clients and by the daemon's accept-time refusal; waiting is done
+///    with `poll()` under the call deadline.
 ///  - A **non-blocking step** API (`TryReadLine`/`TryReadExact`/
-///    `FillOnce`/`QueueWrite`/`FlushQueued`) used by the epoll reactor,
+///    `FillOnce`/`DiscardInput`/`QueueWrite`/`FlushQueued`) used by the
+///    daemon's reactor sessions,
 ///    where a session is a state machine and *waiting* belongs to the
 ///    event loop (epoll interest + timer heap), never to this class.
 ///    Step calls either complete from the buffers or report
@@ -76,7 +76,7 @@ class SockBuffer {
   SockBuffer(const SockBuffer&) = delete;
   SockBuffer& operator=(const SockBuffer&) = delete;
 
-  // --- Blocking API (thread-per-connection sessions, clients) ---
+  // --- Blocking API (clients) ---
 
   /// Reads up to and including the next '\n'; returns the line without the
   /// terminator (a trailing '\r' is also stripped, so both LF and CRLF
@@ -110,6 +110,10 @@ class SockBuffer {
   /// kNeedMore on EAGAIN (re-arm and wait), kUnavailable on EOF/reset.
   Result<IoStep> FillOnce();
 
+  /// One recv() whose bytes are dropped: OK while the peer may send more,
+  /// kUnavailable on EOF/reset.
+  Status DiscardInput();
+
   /// Appends to the output buffer; nothing is sent until a flush.
   void QueueWrite(std::string_view data);
 
@@ -120,14 +124,6 @@ class SockBuffer {
 
   size_t queued_write_bytes() const { return out_.size() - out_head_; }
   bool has_buffered_input() const { return head_ < buffer_.size(); }
-
-  /// Shuts the socket down in both directions, unblocking any thread
-  /// currently polling in a read. Safe to call from another thread; the
-  /// blocked read fails with kUnavailable. Idempotent.
-  void Shutdown();
-
-  /// True once Shutdown() was requested (the session should exit its loop).
-  bool shutdown_requested() const;
 
   int fd() const { return fd_; }
 
@@ -147,7 +143,6 @@ class SockBuffer {
   size_t head_ = 0;
   std::string out_;  ///< Coalesced output; bytes before out_head_ sent.
   size_t out_head_ = 0;
-  std::atomic<bool> shutdown_{false};
 };
 
 /// Disables Nagle on a TCP socket (no-op on non-TCP fds). Request/reply

@@ -321,16 +321,4 @@ Result<SystemConversionReport> ConversionService::ConvertSystem(
   return report;
 }
 
-Result<SystemConversionReport> ConversionService::ConvertSystem(
-    const std::vector<Program>& programs) {
-  std::vector<ConversionRequest> requests;
-  requests.reserve(programs.size());
-  for (const Program& program : programs) {
-    ConversionRequest request;
-    request.program = program;
-    requests.push_back(std::move(request));
-  }
-  return ConvertSystem(requests);
-}
-
 }  // namespace dbpc

@@ -93,12 +93,6 @@ class ConversionService {
   Result<SystemConversionReport> ConvertSystem(
       const std::vector<ConversionRequest>& requests);
 
-  /// Deprecated shim over the request-based ConvertSystem for callers that
-  /// hold parsed programs; kept for one release (see api/dbpc.h). Wraps
-  /// each program in a ConversionRequest with service-default options.
-  Result<SystemConversionReport> ConvertSystem(
-      const std::vector<Program>& programs);
-
   /// Cumulative metrics across every ConvertSystem call on this service.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <string.h>
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -14,6 +19,7 @@
 #include "common/metrics.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
+#include "daemon/sock_buffer.h"
 #include "restructure/plan_parser.h"
 #include "testing/fixtures.h"
 
@@ -77,10 +83,16 @@ TEST(HttpParserTest, OversizedHeadFailsEvenWhenTheBlankLineArrives) {
 }
 
 TEST(HttpParserTest, MalformedRequestLineFails) {
-  HttpRequestParser parser;
-  EXPECT_EQ(parser.Consume("NOSPACESHERE\r\n\r\n"), HttpState::kError);
-  EXPECT_NE(parser.error().find("malformed"), std::string::npos)
-      << parser.error();
+  // No spaces, a blank head, a doubled space (empty target), a leading
+  // space (empty method) and a missing version: none may route.
+  for (const char* raw :
+       {"NOSPACESHERE\r\n\r\n", "\r\n\r\n", "GET  HTTP/1.0\r\n\r\n",
+        " /metrics HTTP/1.0\r\n\r\n", "GET /x\r\n\r\n"}) {
+    HttpRequestParser parser;
+    EXPECT_EQ(parser.Consume(raw), HttpState::kError) << raw;
+    EXPECT_NE(parser.error().find("malformed"), std::string::npos)
+        << parser.error();
+  }
 }
 
 TEST(HttpParserTest, NonHttpProtocolFails) {
@@ -88,6 +100,37 @@ TEST(HttpParserTest, NonHttpProtocolFails) {
   EXPECT_EQ(parser.Consume("GET / FTP/1.0\r\n\r\n"), HttpState::kError);
   EXPECT_NE(parser.error().find("unsupported protocol"), std::string::npos)
       << parser.error();
+}
+
+TEST(HttpParserTest, HeadLimitHoldsAcrossManySmallFeeds) {
+  // A peer trickling a head with no blank line is cut off at the cap,
+  // however small its segments: the buffer never grows past it.
+  HttpRequestParser parser(/*max_bytes=*/64);
+  const std::string raw = "GET /metrics HTTP/1.0\r\nX-Pad: " +
+                          std::string(100, 'p');
+  size_t fed = 0;
+  HttpState state = HttpState::kNeedMore;
+  while (fed < raw.size() && state == HttpState::kNeedMore) {
+    state = parser.Consume(std::string_view(&raw[fed], 1));
+    ++fed;
+  }
+  EXPECT_EQ(state, HttpState::kError);
+  EXPECT_EQ(fed, 65u);
+  // Final: more bytes, even a blank line, change nothing.
+  EXPECT_EQ(parser.Consume("\r\n\r\n"), HttpState::kError);
+}
+
+TEST(HttpParserTest, ControlBytesInTheTargetAreCarriedNotInterpreted) {
+  // NUL and high bytes in the target are opaque: the head still frames,
+  // the target keeps every byte (no C-string truncation to "/met"), and
+  // routing then matches exact paths only.
+  static const char kRaw[] = "GET /met\0rics\xff HTTP/1.0\r\n\r\n";
+  HttpRequestParser parser;
+  EXPECT_EQ(parser.Consume(std::string_view(kRaw, sizeof(kRaw) - 1)),
+            HttpState::kDone);
+  static const char kTarget[] = "/met\0rics\xff";
+  EXPECT_EQ(parser.request().target,
+            std::string(kTarget, sizeof(kTarget) - 1));
 }
 
 // --- RenderPrometheusText ---
@@ -157,19 +200,22 @@ TEST(PrometheusTest, HistogramBucketsAreCumulativeAndInfEqualsCount) {
 
 // --- AdminServer routing + a standalone end-to-end scrape ---
 
-/// A standalone admin server over a bare registry (no daemon): routing and
-/// transport can be exercised without conversion machinery.
+/// A standalone admin server over a bare registry and its own reactor (no
+/// daemon): routing and transport can be exercised without conversion
+/// machinery.
 struct StandaloneAdmin {
   MetricsRegistry registry;
   std::atomic<bool> ready{true};
-  std::unique_ptr<AdminServer> server;
+  std::unique_ptr<Reactor> reactor =
+      std::move(Reactor::Create("admin-test")).value();
+  std::unique_ptr<AdminServer> server;  ///< Declared last: stops first.
 
-  StandaloneAdmin() {
+  explicit StandaloneAdmin(AdminOptions options = AdminOptions{}) {
     AdminHooks hooks;
     hooks.metrics = &registry;
     hooks.ready = [this] { return ready.load(); };
     Result<std::unique_ptr<AdminServer>> started =
-        AdminServer::Start(AdminOptions{}, hooks, /*reactor=*/nullptr);
+        AdminServer::Start(std::move(options), hooks, *reactor);
     EXPECT_TRUE(started.ok()) << started.status();
     server = std::move(started).value();
   }
@@ -237,12 +283,83 @@ TEST(AdminServerTest, ServesHttpOverARealSocket) {
   ASSERT_TRUE(missing.ok()) << missing.status();
   EXPECT_EQ(missing->status_code, 404);
 
-  // Stop is idempotent and leaves no serving threads behind.
+  // Stop is idempotent.
   admin.server->Stop();
   admin.server->Stop();
 }
 
-// --- Daemon-integrated admin plane, both io-models ---
+/// A raw loopback connection to `port`, for requests HttpGet cannot send.
+/// Reads are bounded by a 5s deadline so a wedged server fails the test
+/// instead of hanging it.
+std::unique_ptr<SockBuffer> RawConnect(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  struct sockaddr_in addr;
+  memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  return std::make_unique<SockBuffer>(
+      fd, SockBuffer::Limits{/*read_timeout_ms=*/5000,
+                             /*write_timeout_ms=*/5000,
+                             /*max_line_bytes=*/1 << 16});
+}
+
+/// Every line the server sends until it closes, newline-joined.
+std::string ReadToClose(SockBuffer& sock) {
+  std::string text;
+  for (Result<std::string> line = sock.ReadLine(); line.ok();
+       line = sock.ReadLine()) {
+    text += *line;
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(AdminServerTest, MalformedRequestIsAnswered400ThenClosed) {
+  StandaloneAdmin admin;
+  std::unique_ptr<SockBuffer> sock = RawConnect(admin.server->port());
+  ASSERT_TRUE(sock->WriteAll("NOSPACESHERE\r\n\r\n").ok());
+  std::string response = ReadToClose(*sock);
+  EXPECT_EQ(response.rfind("HTTP/1.0 400", 0), 0u) << response;
+  EXPECT_NE(response.find("malformed request line"), std::string::npos)
+      << response;
+
+  // The bad peer cost one connection, not the endpoint.
+  Result<HttpResponse> health =
+      HttpGet("127.0.0.1", admin.server->port(), "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status_code, 200);
+}
+
+TEST(AdminServerTest, SilentConnectionIsClosedAtTheIoTimeout) {
+  AdminOptions options;
+  options.io_timeout_ms = 100;
+  StandaloneAdmin admin(options);
+  std::unique_ptr<SockBuffer> sock = RawConnect(admin.server->port());
+  // Half a request, then silence: the one per-connection deadline closes
+  // the socket without an answer, well inside the client's 5s wait.
+  ASSERT_TRUE(sock->WriteAll("GET /metr").ok());
+  auto start = std::chrono::steady_clock::now();
+  Result<std::string> line = sock->ReadLine();
+  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  ASSERT_FALSE(line.ok()) << *line;
+  EXPECT_EQ(line.status().code(), StatusCode::kUnavailable) << line.status();
+  EXPECT_LT(elapsed_ms, 3000);
+
+  // Other scrapers are unaffected.
+  Result<HttpResponse> health =
+      HttpGet("127.0.0.1", admin.server->port(), "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status_code, 200);
+}
+
+// --- Daemon-integrated admin plane ---
 
 const char* kSeniorsCpl = R"(PROGRAM SENIORS.
   FOR EACH E IN FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) DO
@@ -262,11 +379,10 @@ END PLAN.
       .value();
 }
 
-DaemonOptions TestOptions(DaemonIoModel io_model) {
+DaemonOptions TestOptions() {
   DaemonOptions options;
   options.port = 0;
   options.admin_port = 0;  // ephemeral admin endpoint on every fixture
-  options.io_model = io_model;
   options.read_timeout_ms = 2000;
   options.write_timeout_ms = 2000;
   options.result_wait_ms = 5000;
@@ -300,10 +416,8 @@ struct Fixture {
   }
 };
 
-class DaemonAdminTest : public ::testing::TestWithParam<DaemonIoModel> {};
-
-TEST_P(DaemonAdminTest, MetricsExposesTheOperationalFamilies) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonAdminTest, MetricsExposesTheOperationalFamilies) {
+  Fixture fixture(TestOptions());
   ASSERT_GT(fixture.daemon->admin_port(), 0);
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ConversionRequest request;
@@ -332,8 +446,8 @@ TEST_P(DaemonAdminTest, MetricsExposesTheOperationalFamilies) {
       << body;
 }
 
-TEST_P(DaemonAdminTest, VarzServesAJsonSnapshot) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonAdminTest, VarzServesAJsonSnapshot) {
+  Fixture fixture(TestOptions());
   Result<HttpResponse> varz = fixture.Scrape("/varz");
   ASSERT_TRUE(varz.ok()) << varz.status();
   ASSERT_EQ(varz->status_code, 200);
@@ -347,8 +461,8 @@ TEST_P(DaemonAdminTest, VarzServesAJsonSnapshot) {
   }
 }
 
-TEST_P(DaemonAdminTest, ReadyzFlipsTo503WhileADrainIsInFlight) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonAdminTest, ReadyzFlipsTo503WhileADrainIsInFlight) {
+  DaemonOptions options = TestOptions();
   options.service.jobs = 1;
   // The only worker blocks until released, so the DRAIN provably overlaps
   // the /readyz probes below.
@@ -408,7 +522,7 @@ TEST_P(DaemonAdminTest, ReadyzFlipsTo503WhileADrainIsInFlight) {
   EXPECT_EQ(health->status_code, 200);
 }
 
-TEST_P(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
+TEST(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
   std::mutex mu;
   std::vector<std::string> lines;
   Logger::Options capture;
@@ -420,7 +534,7 @@ TEST_P(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
   GlobalLogger().Configure(capture);
 
   {
-    DaemonOptions options = TestOptions(GetParam());
+    DaemonOptions options = TestOptions();
     options.slow_request_ms = 1;
     options.service.pipeline_override =
         [](const Program& program) -> Result<PipelineOutcome> {
@@ -456,23 +570,6 @@ TEST_P(DaemonAdminTest, SlowRequestLogCarriesTheTimingBreakdown) {
         << "missing " << field << " in: " << slow;
   }
 }
-
-#if defined(__linux__)
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonAdminTest,
-                         ::testing::Values(DaemonIoModel::kThreads,
-                                           DaemonIoModel::kEpoll),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#else
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonAdminTest,
-                         ::testing::Values(DaemonIoModel::kThreads),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#endif
 
 }  // namespace
 }  // namespace dbpc

@@ -34,10 +34,9 @@ END PLAN.
       .value();
 }
 
-DaemonOptions TestOptions(DaemonIoModel io_model) {
+DaemonOptions TestOptions() {
   DaemonOptions options;
   options.port = 0;
-  options.io_model = io_model;
   options.read_timeout_ms = 2000;
   options.write_timeout_ms = 2000;
   options.result_wait_ms = 5000;
@@ -69,13 +68,17 @@ struct Fixture {
   }
 };
 
-/// Every behavioral test runs under both io-models: one thread per
-/// connection ("threads") and the epoll reactor ("epoll"). The daemon's
-/// protocol contract must be indistinguishable between them.
-class DaemonTest : public ::testing::TestWithParam<DaemonIoModel> {};
+/// After a framing error's -ERR the daemon closes with an orderly EOF,
+/// never a reset (which can destroy the reply before the client reads it).
+void ExpectOrderlyClose(DaemonClient& client) {
+  Result<std::string> eof = client.ReadReplyLineRaw();
+  ASSERT_FALSE(eof.ok());
+  EXPECT_NE(eof.status().message().find("closed by peer"), std::string::npos)
+      << eof.status();
+}
 
-TEST_P(DaemonTest, GreetingAdvertisesServerAndProtocol) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, GreetingAdvertisesServerAndProtocol) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   EXPECT_EQ(client->greeting().at("server"), "dbpcd");
   EXPECT_EQ(client->greeting().at("proto"),
@@ -83,8 +86,8 @@ TEST_P(DaemonTest, GreetingAdvertisesServerAndProtocol) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(DaemonTest, SubmitStatusResultRoundTrip) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, SubmitStatusResultRoundTrip) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest request;
@@ -113,8 +116,8 @@ TEST_P(DaemonTest, SubmitStatusResultRoundTrip) {
   EXPECT_EQ(again->converted_source, response->converted_source);
 }
 
-TEST_P(DaemonTest, ParseFailureIsAFailedJobNotASessionError) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, ParseFailureIsAFailedJobNotASessionError) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest request;
@@ -128,8 +131,8 @@ TEST_P(DaemonTest, ParseFailureIsAFailedJobNotASessionError) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(DaemonTest, MalformedCommandsKeepTheSessionAlive) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, MalformedCommandsKeepTheSessionAlive) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   for (const char* bad :
@@ -143,24 +146,24 @@ TEST_P(DaemonTest, MalformedCommandsKeepTheSessionAlive) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(DaemonTest, OversizedLineTearsDownTheSessionStructurally) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, OversizedLineTearsDownTheSessionStructurally) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   // No newline within the daemon's max_line_bytes: the session must reply
-  // -ERR and close, not hang or crash.
-  std::string long_line(
-      static_cast<size_t>(fixture.daemon->options().max_line_bytes) + 100,
-      'A');
+  // -ERR and close, not hang or crash. The line is far longer than the
+  // daemon reads before refusing it, so unread bytes are still queued.
+  std::string long_line(64 * 1024, 'A');
   ASSERT_TRUE(client->SendRaw(long_line).ok());
   Result<std::string> reply = client->ReadReplyLineRaw();
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->rfind("-ERR bad-request", 0), 0u) << *reply;
+  ExpectOrderlyClose(*client);
   // The daemon keeps serving fresh sessions.
   EXPECT_TRUE(fixture.Connect()->Ping().ok());
 }
 
-TEST_P(DaemonTest, OversizedPayloadIsRefusedBeforeReading) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, OversizedPayloadIsRefusedBeforeReading) {
+  DaemonOptions options = TestOptions();
   options.max_payload_bytes = 128;
   Fixture fixture(std::move(options));
   std::unique_ptr<DaemonClient> client = fixture.Connect();
@@ -168,10 +171,199 @@ TEST_P(DaemonTest, OversizedPayloadIsRefusedBeforeReading) {
   Result<std::string> reply = client->ReadReplyLineRaw();
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->rfind("-ERR bad-request", 0), 0u) << *reply;
+
+  // A client still writing the payload when the refusal comes must read
+  // it as the non-retryable bad-request, never as a connection reset
+  // (kUnavailable, which clients retry on).
+  ConversionRequest huge;
+  huge.source = std::string(4 << 20, 'x');
+  for (int i = 0; i < 4; ++i) {
+    Result<JobId> id = fixture.Connect()->Submit(huge);
+    ASSERT_FALSE(id.ok());
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument)
+        << "attempt " << i << ": " << id.status();
+  }
 }
 
-TEST_P(DaemonTest, MidRequestDisconnectAdmitsNothing) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, BadPayloadTerminatorIsAnsweredThenClosedCleanly) {
+  Fixture fixture(TestOptions());
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  // A non-empty line where the empty terminator belongs, and the peer
+  // keeps sending after it.
+  ASSERT_TRUE(
+      client->SendRaw("SUBMIT 3\nabcXYZ\n" + std::string(64 * 1024, 'J'))
+          .ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->rfind("-ERR bad-request payload must be followed", 0), 0u)
+      << *reply;
+  ExpectOrderlyClose(*client);
+  EXPECT_EQ(fixture.daemon->jobs_admitted(), 0u);
+}
+
+/// Polls until the daemon has no open sessions; returns the milliseconds
+/// that took (or the full wait, when sessions remain).
+long long WaitForNoSessions(ConversionDaemon& daemon, int limit_ms) {
+  auto start = std::chrono::steady_clock::now();
+  auto elapsed = [&start] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  while (daemon.active_sessions() > 0 && elapsed() < limit_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return elapsed();
+}
+
+TEST(DaemonTest, LingerAfterAFramingErrorIsBoundedByTheReadTimeout) {
+  DaemonOptions options = TestOptions();
+  options.read_timeout_ms = 300;
+  Fixture fixture(std::move(options));
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  ASSERT_TRUE(client->SendRaw(std::string(8 * 1024, 'A')).ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->rfind("-ERR bad-request", 0), 0u) << *reply;
+
+  // The peer never closes and never stops sending. The session discards
+  // what arrives, but only until the read deadline: a hostile peer cannot
+  // hold a session slot open by writing.
+  std::atomic<bool> done{false};
+  std::thread writer([&client, &done] {
+    while (!done.load()) {
+      if (!client->SendRaw(std::string(1024, 'J')).ok()) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  long long elapsed_ms = WaitForNoSessions(*fixture.daemon, 5000);
+  done.store(true);
+  writer.join();
+  EXPECT_EQ(fixture.daemon->active_sessions(), 0);
+  EXPECT_LT(elapsed_ms, 3000);
+  EXPECT_TRUE(fixture.Connect()->Ping().ok());
+}
+
+TEST(DaemonTest, StopDoesNotWaitOutALingeringSession) {
+  DaemonOptions options = TestOptions();
+  options.read_timeout_ms = 10000;
+  Fixture fixture(std::move(options));
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  ASSERT_TRUE(client->SendRaw(std::string(8 * 1024, 'A')).ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->rfind("-ERR bad-request", 0), 0u) << *reply;
+
+  // The peer goes quiet without closing: the session lingers on its
+  // 10s read deadline, which Stop must cut short.
+  auto start = std::chrono::steady_clock::now();
+  fixture.daemon->Stop();
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  EXPECT_LT(elapsed, 1500);
+  EXPECT_EQ(fixture.daemon->active_sessions(), 0);
+}
+
+TEST(DaemonTest, ConnectionsOverTheCapAreRefusedNotDropped) {
+  DaemonOptions options = TestOptions();
+  options.max_connections = 1;
+  Fixture fixture(std::move(options));
+  std::unique_ptr<DaemonClient> first = fixture.Connect();
+  ASSERT_TRUE(first->Ping().ok());
+
+  // The second connection is answered in place of the greeting with the
+  // retryable unavailable, never silently closed.
+  Result<std::unique_ptr<DaemonClient>> second =
+      DaemonClient::Connect("127.0.0.1", fixture.daemon->port());
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(second.status().message().find("too many connections"),
+            std::string::npos)
+      << second.status();
+  EXPECT_TRUE(first->Ping().ok());
+
+  // Once the slot is released, a new session is admitted.
+  ASSERT_TRUE(first->Quit().ok());
+  WaitForNoSessions(*fixture.daemon, 5000);
+  ASSERT_EQ(fixture.daemon->active_sessions(), 0);
+  EXPECT_TRUE(fixture.Connect()->Ping().ok());
+}
+
+TEST(DaemonTest, CrlfClientsAreServed) {
+  Fixture fixture(TestOptions());
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  ASSERT_TRUE(client->SendRaw("PING\r\n").ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "+OK pong=1");
+
+  // CRLF after the command line and as the payload terminator.
+  std::string payload = kSeniorsCpl;
+  ASSERT_TRUE(client
+                  ->SendRaw("SUBMIT " + std::to_string(payload.size()) +
+                            "\r\n" + payload + "\r\n")
+                  .ok());
+  reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "+OK id=1 state=queued");
+  Result<ConversionResponse> response = client->Fetch(1, /*wait=*/true);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->accepted);
+}
+
+TEST(DaemonTest, BlankKeepAliveLinesGetNoReply) {
+  Fixture fixture(TestOptions());
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  // Empty lines (LF or CRLF) are skipped without a reply, so the next
+  // reply on the wire answers the PING, and nothing is left over after it.
+  ASSERT_TRUE(client->SendRaw("\n\r\n\nPING\n").ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "+OK pong=1");
+  ASSERT_TRUE(client->SendRaw("STATUS 5\n").ok());
+  reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->rfind("-ERR not-found no such job 5", 0), 0u) << *reply;
+  EXPECT_EQ(fixture.daemon->jobs_admitted(), 0u);
+}
+
+TEST(DaemonTest, PayloadThatLooksLikeCommandsIsNeverExecuted) {
+  Fixture fixture(TestOptions());
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  // The counted payload holds command lines. They are program text for
+  // the converter, not commands: no drain, no quit, one job.
+  const std::string payload = "DRAIN\nQUIT\nSUBMIT 0\n\n";
+  ASSERT_TRUE(client
+                  ->SendRaw("SUBMIT " + std::to_string(payload.size()) +
+                            "\n" + payload + "\n")
+                  .ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "+OK id=1 state=queued");
+
+  Result<ConversionResponse> response = client->Fetch(1, /*wait=*/true);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->state, JobState::kFailed);  // not CPL
+  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_FALSE(fixture.daemon->draining());
+  EXPECT_EQ(fixture.daemon->jobs_admitted(), 1u);
+}
+
+TEST(DaemonTest, QuitIsAcknowledgedThenClosedCleanly) {
+  Fixture fixture(TestOptions());
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  ASSERT_TRUE(client->SendRaw("QUIT\n").ok());
+  Result<std::string> reply = client->ReadReplyLineRaw();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "+OK bye=1");
+  ExpectOrderlyClose(*client);
+  WaitForNoSessions(*fixture.daemon, 5000);
+  EXPECT_EQ(fixture.daemon->active_sessions(), 0);
+}
+
+TEST(DaemonTest, MidRequestDisconnectAdmitsNothing) {
+  Fixture fixture(TestOptions());
   {
     std::unique_ptr<DaemonClient> client = fixture.Connect();
     // Promise 1000 payload bytes, deliver 10, vanish.
@@ -186,16 +378,41 @@ TEST_P(DaemonTest, MidRequestDisconnectAdmitsNothing) {
   EXPECT_TRUE(fixture.Connect()->Ping().ok());
 }
 
-TEST_P(DaemonTest, ResultForUnknownJobIsNotFound) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, ResultForUnknownJobIsNotFound) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   Result<ConversionResponse> response = client->Fetch(777, /*wait=*/false);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
 }
 
-TEST_P(DaemonTest, BackpressureWhenQueueIsFull) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, EvictedResultsAnswerNotFound) {
+  DaemonOptions options = TestOptions();
+  options.max_retained_results = 1;
+  Fixture fixture(std::move(options));
+  std::unique_ptr<DaemonClient> client = fixture.Connect();
+  ConversionRequest request;
+  request.source = kSeniorsCpl;
+  Result<ConversionResponse> first = client->Convert(request);
+  ASSERT_TRUE(first.ok()) << first.status();
+  Result<ConversionResponse> second = client->Convert(request);
+  ASSERT_TRUE(second.ok()) << second.status();
+
+  // Retention is FIFO over completed jobs: the older result is gone from
+  // both RESULT and STATUS, the newer one is still served.
+  Result<ConversionResponse> evicted = client->Fetch(first->id, false);
+  ASSERT_FALSE(evicted.ok());
+  EXPECT_EQ(evicted.status().code(), StatusCode::kNotFound);
+  Result<JobState> state = client->State(first->id);
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kNotFound);
+  Result<ConversionResponse> kept = client->Fetch(second->id, false);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->converted_source, second->converted_source);
+}
+
+TEST(DaemonTest, BackpressureWhenQueueIsFull) {
+  DaemonOptions options = TestOptions();
   options.queue_depth = 1;
   options.service.jobs = 1;
   // A pipeline that blocks until released, so the queue stays provably
@@ -234,8 +451,8 @@ TEST_P(DaemonTest, BackpressureWhenQueueIsFull) {
   EXPECT_TRUE(client->Submit(request).ok());
 }
 
-TEST_P(DaemonTest, PerRequestDeadlineDegradesToRefused) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, PerRequestDeadlineDegradesToRefused) {
+  DaemonOptions options = TestOptions();
   options.service.retries = 0;
   // Every attempt takes ~40ms; a 1ms per-request deadline is always
   // overrun, so the job must degrade to a refused-but-answered conversion
@@ -266,8 +483,8 @@ TEST_P(DaemonTest, PerRequestDeadlineDegradesToRefused) {
   EXPECT_TRUE(response->accepted);
 }
 
-TEST_P(DaemonTest, TraceIsServedOnlyForTracedJobs) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, TraceIsServedOnlyForTracedJobs) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest untraced;
@@ -288,8 +505,8 @@ TEST_P(DaemonTest, TraceIsServedOnlyForTracedJobs) {
   EXPECT_NE(trace->find("convert SENIORS"), std::string::npos) << *trace;
 }
 
-TEST_P(DaemonTest, TraceOnAnUnfinishedJobIsAnsweredNotRaced) {
-  DaemonOptions options = TestOptions(GetParam());
+TEST(DaemonTest, TraceOnAnUnfinishedJobIsAnsweredNotRaced) {
+  DaemonOptions options = TestOptions();
   options.service.jobs = 1;
   // The only worker blocks until released, so the job is provably
   // unfinished while TRACE probes it. Before the fix the TRACE handler
@@ -342,7 +559,7 @@ TEST_P(DaemonTest, TraceOnAnUnfinishedJobIsAnsweredNotRaced) {
   EXPECT_TRUE(prober->Ping().ok());
 }
 
-TEST_P(DaemonTest, StartFailureIsACleanErrorNotACrash) {
+TEST(DaemonTest, StartFailureIsACleanErrorNotACrash) {
   // This plan parses but cannot apply to the company schema (no such
   // set), so ConversionService::Create fails after DaemonOptions already
   // validated. Start must return that error; destroying the partially
@@ -357,13 +574,13 @@ END PLAN.
                               .value();
   Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
   Result<std::unique_ptr<ConversionDaemon>> started =
-      ConversionDaemon::Start(schema, bad.View(), TestOptions(GetParam()));
+      ConversionDaemon::Start(schema, bad.View(), TestOptions());
   ASSERT_FALSE(started.ok());
   EXPECT_FALSE(started.status().message().empty());
 }
 
-TEST_P(DaemonTest, MetricsSnapshotIsServed) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, MetricsSnapshotIsServed) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ConversionRequest request;
   request.source = kSeniorsCpl;
@@ -374,8 +591,8 @@ TEST_P(DaemonTest, MetricsSnapshotIsServed) {
   EXPECT_NE(metrics->find("daemon.request_us"), std::string::npos);
 }
 
-TEST_P(DaemonTest, DrainFinishesAdmittedJobsAndRefusesNewOnes) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, DrainFinishesAdmittedJobsAndRefusesNewOnes) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
 
   ConversionRequest request;
@@ -400,8 +617,8 @@ TEST_P(DaemonTest, DrainFinishesAdmittedJobsAndRefusesNewOnes) {
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
 }
 
-TEST_P(DaemonTest, DoubleDrainIsIdempotent) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, DoubleDrainIsIdempotent) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ConversionRequest request;
   request.source = kSeniorsCpl;
@@ -416,8 +633,8 @@ TEST_P(DaemonTest, DoubleDrainIsIdempotent) {
             fixture.daemon->jobs_completed());
 }
 
-TEST_P(DaemonTest, StopTearsDownIdleSessions) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, StopTearsDownIdleSessions) {
+  Fixture fixture(TestOptions());
   std::unique_ptr<DaemonClient> client = fixture.Connect();
   ASSERT_TRUE(client->Ping().ok());
   // Stop must not wait out the idle session's read timeout.
@@ -430,8 +647,8 @@ TEST_P(DaemonTest, StopTearsDownIdleSessions) {
   EXPECT_EQ(fixture.daemon->active_sessions(), 0);
 }
 
-TEST_P(DaemonTest, ConcurrentSessionsAllComplete) {
-  Fixture fixture(TestOptions(GetParam()));
+TEST(DaemonTest, ConcurrentSessionsAllComplete) {
+  Fixture fixture(TestOptions());
   constexpr int kSessions = 8;
   constexpr int kPerSession = 4;
   std::atomic<int> completed{0};
@@ -453,23 +670,6 @@ TEST_P(DaemonTest, ConcurrentSessionsAllComplete) {
   EXPECT_EQ(fixture.daemon->jobs_completed(),
             static_cast<uint64_t>(kSessions * kPerSession));
 }
-
-#if defined(__linux__)
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonTest,
-                         ::testing::Values(DaemonIoModel::kThreads,
-                                           DaemonIoModel::kEpoll),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#else
-INSTANTIATE_TEST_SUITE_P(IoModels, DaemonTest,
-                         ::testing::Values(DaemonIoModel::kThreads),
-                         [](const ::testing::TestParamInfo<DaemonIoModel>&
-                                info) {
-                           return std::string(DaemonIoModelName(info.param));
-                         });
-#endif
 
 }  // namespace
 }  // namespace dbpc

@@ -114,31 +114,6 @@ TEST(DaemonOptionsTest, RejectsNonPositiveIoThreads) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
-TEST(DaemonOptionsTest, ParseDaemonIoModelRoundTrips) {
-  Result<DaemonIoModel> threads = ParseDaemonIoModel("threads");
-  ASSERT_TRUE(threads.ok()) << threads.status();
-  EXPECT_EQ(*threads, DaemonIoModel::kThreads);
-  EXPECT_STREQ(DaemonIoModelName(*threads), "threads");
-
-  Result<DaemonIoModel> epoll = ParseDaemonIoModel("epoll");
-  ASSERT_TRUE(epoll.ok()) << epoll.status();
-  EXPECT_EQ(*epoll, DaemonIoModel::kEpoll);
-  EXPECT_STREQ(DaemonIoModelName(*epoll), "epoll");
-
-  Result<DaemonIoModel> bogus = ParseDaemonIoModel("select");
-  ASSERT_FALSE(bogus.ok());
-  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bogus.status().message().find("select"), std::string::npos);
-}
-
-#if !defined(__linux__)
-TEST(DaemonOptionsTest, EpollModelIsRejectedOffLinux) {
-  DaemonOptions options;
-  options.io_model = DaemonIoModel::kEpoll;
-  EXPECT_FALSE(options.Validate().ok());
-}
-#endif
-
 TEST(DaemonOptionsTest, DelegatesToServiceValidation) {
   // The embedded pipeline configuration is validated through the same
   // gate, so a daemon can never start over a service that would not.

@@ -41,6 +41,12 @@ TEST(ParseCommandLineTest, SubmitNeedsPayloadSize) {
   EXPECT_FALSE(ParseCommandLine("SUBMIT").ok());
   EXPECT_FALSE(ParseCommandLine("SUBMIT notanumber").ok());
   EXPECT_FALSE(ParseCommandLine("SUBMIT -5").ok());
+  // The size is strictly decimal digits: no sign, suffix, base or exponent.
+  for (const char* line : {"SUBMIT +5", "SUBMIT 5x", "SUBMIT 0x10",
+                           "SUBMIT 5.0", "SUBMIT 1e3", "SUBMIT \xd9\xa1",
+                           "SUBMIT =5"}) {
+    EXPECT_FALSE(ParseCommandLine(line).ok()) << line;
+  }
 }
 
 TEST(ParseCommandLineTest, ResultWait) {
@@ -58,12 +64,20 @@ TEST(ParseCommandLineTest, ResultWait) {
 TEST(ParseCommandLineTest, StatusNeedsJobId) {
   EXPECT_FALSE(ParseCommandLine("STATUS").ok());
   EXPECT_FALSE(ParseCommandLine("STATUS abc").ok());
+  // Ids start at 1, so 0 is never a job, under any id-taking command.
+  for (const char* line :
+       {"STATUS 0", "TRACE 0", "RESULT 0", "RESULT 0 WAIT", "STATUS 000"}) {
+    EXPECT_FALSE(ParseCommandLine(line).ok()) << line;
+  }
 }
 
 TEST(ParseCommandLineTest, UnknownCommandIsStructuredError) {
-  Result<WireCommand> command = ParseCommandLine("FROBNICATE 1");
-  ASSERT_FALSE(command.ok());
-  EXPECT_EQ(command.status().code(), StatusCode::kInvalidArgument);
+  // Verbs are case-sensitive: "ping" is as unknown as FROBNICATE.
+  for (const char* line : {"FROBNICATE 1", "ping", "Submit 3"}) {
+    Result<WireCommand> command = ParseCommandLine(line);
+    ASSERT_FALSE(command.ok()) << line;
+    EXPECT_EQ(command.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ParseCommandLineTest, EncodeSubmitSanitizesHostileNames) {
@@ -93,6 +107,110 @@ TEST(ParseCommandLineTest, RoundTripsThroughFormat) {
     Result<WireCommand> command = ParseCommandLine(line);
     ASSERT_TRUE(command.ok()) << line << ": " << command.status();
     EXPECT_EQ(FormatCommandLine(*command), line);
+  }
+}
+
+// --- hostile command lines -------------------------------------------------
+//
+// Every line below can arrive from an untrusted peer. Each must come back
+// as a parsed command or a kInvalidArgument, never a crash, a wrapped
+// number or a silently different command.
+
+TEST(ParseCommandLineTest, BlankLinesAreEmptyCommands) {
+  for (const std::string& line : {std::string(""), std::string("   "),
+                                  std::string("\t\r"), std::string("\v\f")}) {
+    Result<WireCommand> command = ParseCommandLine(line);
+    ASSERT_FALSE(command.ok()) << "\"" << line << "\"";
+    EXPECT_EQ(command.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(command.status().message(), "empty command");
+  }
+}
+
+TEST(ParseCommandLineTest, CarriageReturnsAndRunsOfBlanksSeparateTokens) {
+  // A CRLF client's stray '\r' and padded tokens parse like the plain form.
+  Result<WireCommand> ping = ParseCommandLine("PING\r");
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  EXPECT_EQ(ping->kind, CommandKind::kPing);
+
+  Result<WireCommand> status = ParseCommandLine("  STATUS \t 7  \r");
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_EQ(status->kind, CommandKind::kStatus);
+  EXPECT_EQ(status->id, 7u);
+}
+
+TEST(ParseCommandLineTest, OverlongNumbersAreRejectedNotWrapped) {
+  // 19 digits still fit in 64 bits and parse exactly (the daemon then
+  // refuses the size against max_payload_bytes); 20 digits could wrap,
+  // so they are refused outright.
+  Result<WireCommand> big = ParseCommandLine("SUBMIT 9999999999999999999");
+  ASSERT_TRUE(big.ok()) << big.status();
+  EXPECT_EQ(big->payload_bytes, static_cast<size_t>(9999999999999999999ull));
+
+  for (const char* line :
+       {"SUBMIT 18446744073709551617", "SUBMIT 00000000000000000001",
+        "STATUS 18446744073709551616", "RESULT 99999999999999999999 WAIT",
+        "TRACE 123456789012345678901234567890"}) {
+    Result<WireCommand> command = ParseCommandLine(line);
+    ASSERT_FALSE(command.ok()) << line;
+    EXPECT_EQ(command.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ParseCommandLineTest, SubmitDeadlineIsBoundedToInt) {
+  Result<WireCommand> max = ParseCommandLine("SUBMIT 1 deadline_ms=2147483647");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->deadline_ms, 2147483647);
+
+  for (const char* line :
+       {"SUBMIT 1 deadline_ms=2147483648", "SUBMIT 1 deadline_ms=-1",
+        "SUBMIT 1 deadline_ms=", "SUBMIT 1 deadline_ms=1e3",
+        "SUBMIT 1 deadline_ms=99999999999999999999"}) {
+    Result<WireCommand> command = ParseCommandLine(line);
+    ASSERT_FALSE(command.ok()) << line;
+    EXPECT_NE(command.status().message().find("deadline_ms"),
+              std::string::npos)
+        << command.status();
+  }
+}
+
+TEST(ParseCommandLineTest, SubmitOptionsNeedAKey) {
+  for (const char* line : {"SUBMIT 5 =x", "SUBMIT 5 trace", "SUBMIT 5 ="}) {
+    Result<WireCommand> command = ParseCommandLine(line);
+    ASSERT_FALSE(command.ok()) << line;
+    EXPECT_NE(command.status().message().find("want key=value"),
+              std::string::npos)
+        << command.status();
+  }
+  // An empty value is still a key=value pair; only the key is required.
+  Result<WireCommand> empty = ParseCommandLine("SUBMIT 5 name= trace=yes");
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty->name, "");
+  EXPECT_FALSE(empty->trace);  // only the exact value 1 turns tracing on
+}
+
+TEST(ParseCommandLineTest, RejectionsEchoAsExactlyOneReplyLine) {
+  // Whatever garbage a peer sends, the -ERR that answers it must stay one
+  // line carrying bad-request, or the reply stream desyncs.
+  const std::string hostile[] = {
+      std::string("PI\0NG", 5),
+      std::string("SUBMIT\0 5", 9),
+      "\x01\x02\x03",
+      "\xff\xfe SUBMIT 5",
+      "RESULT 1 WAIT\x7f",
+      std::string(3000, 'Z'),
+      "SUBMIT 5 name=a deadline_ms=\x80",
+  };
+  for (const std::string& line : hostile) {
+    Result<WireCommand> command = ParseCommandLine(line);
+    ASSERT_FALSE(command.ok()) << line;
+    std::string reply = ErrReplyLine(command.status());
+    EXPECT_EQ(reply.find('\n'), reply.size() - 1) << reply;
+    EXPECT_EQ(reply.find('\r'), std::string::npos) << reply;
+    Result<WireReply> parsed =
+        ParseReplyLine(reply.substr(0, reply.size() - 1));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_FALSE(parsed->ok);
+    EXPECT_EQ(parsed->code, StatusCode::kInvalidArgument);
   }
 }
 
@@ -129,6 +247,33 @@ TEST(ParseReplyLineTest, RejectsGarbage) {
   EXPECT_FALSE(ParseReplyLine("").ok());
   EXPECT_FALSE(ParseReplyLine("HELLO").ok());
   EXPECT_FALSE(ParseReplyLine("+DATA notasize").ok());
+  // A payload size is an unsigned decimal that cannot wrap.
+  EXPECT_FALSE(ParseReplyLine("+DATA").ok());
+  EXPECT_FALSE(ParseReplyLine("+DATA -1").ok());
+  EXPECT_FALSE(ParseReplyLine("+DATA +3").ok());
+  EXPECT_FALSE(ParseReplyLine("+DATA 99999999999999999999 id=1").ok());
+}
+
+TEST(ParseReplyLineTest, ErrNeedsAWireToken) {
+  Result<WireReply> bare = ParseReplyLine("-ERR");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kInvalidArgument);
+
+  // A token this client does not know (a newer server's) is still an
+  // error reply, surfaced as internal rather than a failed parse.
+  Result<WireReply> future = ParseReplyLine("-ERR from-the-future try later");
+  ASSERT_TRUE(future.ok()) << future.status();
+  EXPECT_FALSE(future->ok);
+  EXPECT_EQ(future->code, StatusCode::kInternal);
+  EXPECT_EQ(future->message, "try later");
+}
+
+TEST(ParseReplyLineTest, TokensWithoutAKeyAreSkipped) {
+  Result<WireReply> reply = ParseReplyLine("+OK =v bare id=3 k=a=b");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->fields.size(), 2u);
+  EXPECT_EQ(reply->fields.at("id"), "3");
+  EXPECT_EQ(reply->fields.at("k"), "a=b");  // split at the first '='
 }
 
 TEST(ReplyBuildersTest, ErrReplyKeepsOneLine) {
@@ -223,6 +368,26 @@ TEST(SubmitCodecTest, RoundTrips) {
   EXPECT_EQ(decoded.trace, request.trace);
 }
 
+TEST(SubmitCodecTest, PayloadBytesAreCarriedVerbatim) {
+  // Counted payload bytes are uninterpreted: protocol lookalikes, blank
+  // lines, CRLF, NUL and high bytes all survive, and none of them is read
+  // as a command.
+  static const char kSource[] = "PING\n\nSUBMIT 0\n\r\nQUIT\n\0\xff\x80";
+  ConversionRequest request;
+  request.source = std::string(kSource, sizeof(kSource) - 1);
+  std::string wire = EncodeSubmit(request);
+  size_t eol = wire.find('\n');
+  Result<WireCommand> command = ParseCommandLine(wire.substr(0, eol));
+  ASSERT_TRUE(command.ok()) << command.status();
+  ASSERT_EQ(command->payload_bytes, request.source.size());
+  EXPECT_EQ(wire.size(), eol + 1 + request.source.size() + 1);
+  EXPECT_EQ(wire.back(), '\n');
+
+  ConversionRequest decoded = DecodeSubmit(
+      *command, wire.substr(eol + 1, command->payload_bytes));
+  EXPECT_EQ(decoded.source, request.source);
+}
+
 TEST(ResponseCodecTest, RoundTripsAcceptedConversion) {
   ConversionResponse response;
   response.id = 9;
@@ -296,6 +461,45 @@ TEST(ResponseCodecTest, SourceWithSectionLookalikeLinesSurvives) {
   Result<ConversionResponse> decoded = DecodeResponse(*reply, payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->converted_source, response.converted_source);
+}
+
+TEST(ResponseCodecTest, MalformedHeaderFieldsAreErrorsNotGuesses) {
+  for (const char* line :
+       {"+DATA 0 id=abc state=done", "+DATA 0 id=1 state=exploded",
+        "+DATA 0 id=1 state=done classification=maybe",
+        "+DATA 0 id=-4 state=done"}) {
+    Result<WireReply> reply = ParseReplyLine(line);
+    ASSERT_TRUE(reply.ok()) << line << ": " << reply.status();
+    Result<ConversionResponse> decoded = DecodeResponse(*reply, "");
+    ASSERT_FALSE(decoded.ok()) << line;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+}
+
+TEST(ResponseCodecTest, UnknownErrorTokenDecodesAsInternal) {
+  Result<WireReply> reply =
+      ParseReplyLine("+DATA 0 id=6 state=failed error=from-the-future");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  Result<ConversionResponse> decoded =
+      DecodeResponse(*reply, "== STATUS ==\nsomething new broke\n");
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->state, JobState::kFailed);
+  EXPECT_EQ(decoded->status.code(), StatusCode::kInternal);
+  EXPECT_EQ(decoded->status.message(), "something new broke");
+}
+
+TEST(ResponseCodecTest, PayloadOutsideAnySectionIsIgnored) {
+  // Text before the first header belongs to no section, and a payload
+  // cut short of its final newline still yields whole lines.
+  Result<WireReply> reply = ParseReplyLine("+DATA 0 id=2 state=done");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  Result<ConversionResponse> decoded = DecodeResponse(
+      *reply, "stray\n== SOURCE\n== SOURCE ==\nPROGRAM X.\nEND PROGRAM.");
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->converted_source, "PROGRAM X.\nEND PROGRAM.\n");
+  EXPECT_TRUE(decoded->notes.empty());
+  EXPECT_TRUE(decoded->trace_text.empty());
+  EXPECT_TRUE(decoded->status.ok());
 }
 
 }  // namespace

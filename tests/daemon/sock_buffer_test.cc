@@ -159,26 +159,6 @@ TEST(SockBufferTest, MidPayloadDisconnectIsUnavailable) {
   EXPECT_EQ(payload.status().code(), StatusCode::kUnavailable);
 }
 
-TEST(SockBufferTest, ShutdownUnblocksAReadFromAnotherThread) {
-  Pair pair(SockBuffer::Limits{/*read_timeout_ms=*/30000,
-                               /*write_timeout_ms=*/30000,
-                               /*max_line_bytes=*/64});
-  std::thread unblocker([&pair] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    pair.reader->Shutdown();
-  });
-  auto start = std::chrono::steady_clock::now();
-  Result<std::string> line = pair.reader->ReadLine();
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  unblocker.join();
-  ASSERT_FALSE(line.ok());
-  EXPECT_EQ(line.status().code(), StatusCode::kUnavailable);
-  EXPECT_LT(elapsed, 5000);  // did not wait out the 30s timeout
-  EXPECT_TRUE(pair.reader->shutdown_requested());
-}
-
 TEST(SockBufferTest, WriteAllDeliversEverything) {
   Pair pair(FastLimits());
   std::string blob(256 * 1024, 'y');
@@ -248,6 +228,42 @@ TEST(SockBufferTest, TryReadExactAccumulatesAcrossFills) {
   ASSERT_TRUE(step.ok()) << step.status();
   EXPECT_EQ(*step, SockBuffer::IoStep::kReady);
   EXPECT_EQ(payload, "abcdefghij");
+}
+
+TEST(SockBufferTest, DiscardInputDropsBytesWithoutBufferingThem) {
+  Pair pair(FastLimits());
+  pair.Send("SUBMIT 3\nabc\n");
+  EXPECT_TRUE(pair.reader->DiscardInput().ok());
+  EXPECT_FALSE(pair.reader->has_buffered_input());
+  // The dropped bytes never surface as input.
+  Result<SockBuffer::IoStep> step = pair.reader->TryReadLine(nullptr);
+  ASSERT_TRUE(step.ok()) << step.status();
+  EXPECT_EQ(*step, SockBuffer::IoStep::kNeedMore);
+
+  // A quiet socket that is still open: OK at once, no waiting.
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(pair.reader->DiscardInput().ok());
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            100);
+}
+
+TEST(SockBufferTest, DiscardInputReportsPeerCloseAsUnavailable) {
+  Pair pair(FastLimits());
+  pair.Send(std::string(40 * 1024, 'J'));
+  pair.CloseWrite();
+  // Each call drops at most one chunk, so a backlog takes several calls;
+  // all of them are OK until the peer's EOF is reached.
+  int calls = 0;
+  Status discarded;
+  while ((discarded = pair.reader->DiscardInput()).ok()) {
+    ASSERT_LT(++calls, 1000);
+  }
+  EXPECT_GE(calls, 2);
+  EXPECT_EQ(discarded.code(), StatusCode::kUnavailable);
+  EXPECT_NE(discarded.message().find("closed by peer"), std::string::npos)
+      << discarded;
 }
 
 TEST(SockBufferTest, QueuedWritesCoalesceIntoOneFlush) {

@@ -27,15 +27,30 @@ END PLAN.
       .value();
 }
 
-std::vector<Program> CompanyPrograms(int n = 0) {
+std::vector<ConversionRequest> CompanyRequests(int n = 0) {
   std::vector<CorpusProgram> corpus =
       n > 0 ? GenerateCompanyCorpus(n, 1979)
             : GenerateCompanyCorpus(CorpusMix{}, 1979);
-  std::vector<Program> programs;
+  std::vector<ConversionRequest> requests;
   for (CorpusProgram& entry : corpus) {
-    programs.push_back(std::move(entry.program));
+    ConversionRequest request;
+    request.program = std::move(entry.program);
+    requests.push_back(std::move(request));
   }
-  return programs;
+  return requests;
+}
+
+/// Requests carrying empty programs with the given names, for pipeline
+/// overrides that key on the name.
+std::vector<ConversionRequest> NamedRequests(
+    const std::vector<std::string>& names) {
+  std::vector<ConversionRequest> requests;
+  for (const std::string& name : names) {
+    ConversionRequest request;
+    request.program.emplace().name = name;
+    requests.push_back(std::move(request));
+  }
+  return requests;
 }
 
 std::unique_ptr<ConversionService> MakeService(const RestructuringPlan& plan,
@@ -120,18 +135,18 @@ TEST(ServiceOptionsTest, InvalidSupervisorOptionsAreCaughtByService) {
 
 TEST(ConversionServiceTest, ParallelReportIsByteIdenticalToSerial) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs = CompanyPrograms();
+  std::vector<ConversionRequest> requests = CompanyRequests();
 
   std::unique_ptr<ConversionService> serial =
       MakeService(plan, AssistedOptions(1));
   SystemConversionReport serial_report =
-      std::move(serial->ConvertSystem(programs)).value();
+      std::move(serial->ConvertSystem(requests)).value();
 
   for (int jobs : {2, 4, 8}) {
     std::unique_ptr<ConversionService> parallel =
         MakeService(plan, AssistedOptions(jobs));
     SystemConversionReport report =
-        std::move(parallel->ConvertSystem(programs)).value();
+        std::move(parallel->ConvertSystem(requests)).value();
     EXPECT_EQ(report.ToText(), serial_report.ToText()) << "jobs=" << jobs;
     EXPECT_EQ(report.accepted, serial_report.accepted);
     EXPECT_EQ(report.refused, serial_report.refused);
@@ -143,10 +158,11 @@ TEST(ConversionServiceTest, OutputOrderMatchesInputOrderUnderJitter) {
   // report must still list them in input order.
   RestructuringPlan plan = Figure44Plan();
   constexpr int kPrograms = 16;
-  std::vector<Program> programs(kPrograms);
+  std::vector<std::string> names;
   for (int i = 0; i < kPrograms; ++i) {
-    programs[i].name = "JITTER-" + std::to_string(i);
+    names.push_back("JITTER-" + std::to_string(i));
   }
+  std::vector<ConversionRequest> requests = NamedRequests(names);
   ServiceOptions options;
   options.jobs = 4;
   options.pipeline_override =
@@ -161,23 +177,23 @@ TEST(ConversionServiceTest, OutputOrderMatchesInputOrderUnderJitter) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
-  ASSERT_EQ(report.outcomes.size(), programs.size());
+      std::move(service->ConvertSystem(requests)).value();
+  ASSERT_EQ(report.outcomes.size(), names.size());
   for (int i = 0; i < kPrograms; ++i) {
-    EXPECT_EQ(report.outcomes[i].conversion.converted.name, programs[i].name);
+    EXPECT_EQ(report.outcomes[i].conversion.converted.name, names[i]);
   }
   EXPECT_EQ(report.accepted, kPrograms);
 }
 
 TEST(ConversionServiceTest, ServiceIsReusableAcrossBatches) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs = CompanyPrograms(10);
+  std::vector<ConversionRequest> requests = CompanyRequests(10);
   std::unique_ptr<ConversionService> service =
       MakeService(plan, AssistedOptions(4));
   std::string first =
-      std::move(service->ConvertSystem(programs)).value().ToText();
+      std::move(service->ConvertSystem(requests)).value().ToText();
   std::string second =
-      std::move(service->ConvertSystem(programs)).value().ToText();
+      std::move(service->ConvertSystem(requests)).value().ToText();
   EXPECT_EQ(first, second);
   EXPECT_EQ(service->metrics().GetCounter("service.batches")->Value(), 2u);
 }
@@ -186,10 +202,8 @@ TEST(ConversionServiceTest, ServiceIsReusableAcrossBatches) {
 
 TEST(ConversionServiceTest, DeadlineOverrunDegradesToRefusedAfterRetry) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs(3);
-  programs[0].name = "FAST-A";
-  programs[1].name = "SLOW";
-  programs[2].name = "FAST-B";
+  std::vector<ConversionRequest> requests =
+      NamedRequests({"FAST-A", "SLOW", "FAST-B"});
   ServiceOptions options;
   options.jobs = 2;
   options.deadline_ms = 20;
@@ -206,7 +220,7 @@ TEST(ConversionServiceTest, DeadlineOverrunDegradesToRefusedAfterRetry) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(requests)).value();
 
   ASSERT_EQ(report.outcomes.size(), 3u);
   const PipelineOutcome& slow = report.outcomes[1];
@@ -230,9 +244,7 @@ TEST(ConversionServiceTest, DeadlineOverrunDegradesToRefusedAfterRetry) {
 
 TEST(ConversionServiceTest, ThrowingPipelineDegradesToRefused) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs(2);
-  programs[0].name = "THROWS";
-  programs[1].name = "OK";
+  std::vector<ConversionRequest> requests = NamedRequests({"THROWS", "OK"});
   ServiceOptions options;
   options.jobs = 2;
   options.retries = 0;
@@ -248,7 +260,7 @@ TEST(ConversionServiceTest, ThrowingPipelineDegradesToRefused) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(requests)).value();
 
   EXPECT_EQ(report.outcomes[0].classification,
             Convertibility::kNotConvertible);
@@ -263,9 +275,7 @@ TEST(ConversionServiceTest, ThrowingPipelineDegradesToRefused) {
 
 TEST(ConversionServiceTest, ErrorStatusDegradesInsteadOfAbortingBatch) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs(2);
-  programs[0].name = "BROKEN";
-  programs[1].name = "OK";
+  std::vector<ConversionRequest> requests = NamedRequests({"BROKEN", "OK"});
   ServiceOptions options;
   options.retries = 0;
   options.pipeline_override =
@@ -279,7 +289,7 @@ TEST(ConversionServiceTest, ErrorStatusDegradesInsteadOfAbortingBatch) {
     return outcome;
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
-  Result<SystemConversionReport> report = service->ConvertSystem(programs);
+  Result<SystemConversionReport> report = service->ConvertSystem(requests);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->refused, 1);
   EXPECT_EQ(report->accepted, 1);
@@ -289,8 +299,7 @@ TEST(ConversionServiceTest, ErrorStatusDegradesInsteadOfAbortingBatch) {
 
 TEST(ConversionServiceTest, RetrySucceedsAfterTransientFailure) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs(1);
-  programs[0].name = "FLAKY";
+  std::vector<ConversionRequest> requests = NamedRequests({"FLAKY"});
   ServiceOptions options;
   options.retries = 1;
   auto failures = std::make_shared<std::atomic<int>>(0);
@@ -306,7 +315,7 @@ TEST(ConversionServiceTest, RetrySucceedsAfterTransientFailure) {
   };
   std::unique_ptr<ConversionService> service = MakeService(plan, options);
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(requests)).value();
   EXPECT_TRUE(report.outcomes[0].accepted);
   EXPECT_EQ(service->metrics().GetCounter("service.retries")->Value(), 1u);
   EXPECT_EQ(service->metrics().GetCounter("service.degraded")->Value(), 0u);
@@ -316,18 +325,18 @@ TEST(ConversionServiceTest, RetrySucceedsAfterTransientFailure) {
 
 TEST(ConversionServiceTest, MetricsSnapshotCoversPipelineStages) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs = CompanyPrograms();
+  std::vector<ConversionRequest> requests = CompanyRequests();
   std::unique_ptr<ConversionService> service =
       MakeService(plan, AssistedOptions(4));
   SystemConversionReport report =
-      std::move(service->ConvertSystem(programs)).value();
+      std::move(service->ConvertSystem(requests)).value();
 
   MetricsRegistry& metrics = service->metrics();
   uint64_t classified =
       metrics.GetCounter("programs.automatic")->Value() +
       metrics.GetCounter("programs.needs_analyst")->Value() +
       metrics.GetCounter("programs.refused")->Value();
-  EXPECT_EQ(classified, programs.size());
+  EXPECT_EQ(classified, requests.size());
   EXPECT_EQ(metrics.GetCounter("programs.accepted")->Value(),
             static_cast<uint64_t>(report.accepted));
   EXPECT_EQ(metrics.GetCounter("programs.automatic")->Value(),
@@ -337,14 +346,14 @@ TEST(ConversionServiceTest, MetricsSnapshotCoversPipelineStages) {
   // served it (a hit spends no stage time); accepted ones are generated.
   uint64_t cache_hits = metrics.GetCounter("cache.hits")->Value();
   EXPECT_EQ(metrics.GetHistogram("stage.analyze_us")->Count() + cache_hits,
-            programs.size());
+            requests.size());
   EXPECT_EQ(metrics.GetHistogram("stage.convert_us")->Count() + cache_hits,
-            programs.size());
+            requests.size());
   EXPECT_EQ(metrics.GetHistogram("stage.generate_us")->Count(),
             static_cast<uint64_t>(report.accepted));
   EXPECT_GT(metrics.GetHistogram("stage.optimize_us")->Count(), 0u);
   EXPECT_EQ(metrics.GetHistogram("program.total_us")->Count(),
-            programs.size());
+            requests.size());
 
   // The corpus asks analyst questions and the optimizer rewrites programs.
   EXPECT_GT(metrics.GetCounter("analyst.questions")->Value(), 0u);
@@ -363,25 +372,25 @@ TEST(ConversionServiceTest, MetricsSnapshotCoversPipelineStages) {
 
 TEST(ConversionServiceTest, SpanForestIsIdenticalAcrossWorkerCounts) {
   RestructuringPlan plan = Figure44Plan();
-  std::vector<Program> programs = CompanyPrograms();
+  std::vector<ConversionRequest> requests = CompanyRequests();
 
   SpanCollector serial_spans;
   ServiceOptions serial_options = AssistedOptions(1);
   serial_options.supervisor.spans = &serial_spans;
   std::unique_ptr<ConversionService> serial =
       MakeService(plan, std::move(serial_options));
-  ASSERT_TRUE(serial->ConvertSystem(programs).ok());
+  ASSERT_TRUE(serial->ConvertSystem(requests).ok());
 
   SpanCollector pooled_spans;
   ServiceOptions pooled_options = AssistedOptions(4);
   pooled_options.supervisor.spans = &pooled_spans;
   std::unique_ptr<ConversionService> pooled =
       MakeService(plan, std::move(pooled_options));
-  ASSERT_TRUE(pooled->ConvertSystem(programs).ok());
+  ASSERT_TRUE(pooled->ConvertSystem(requests).ok());
 
   // Roots sort by sequence (= batch index), so the structural export is
   // byte-identical regardless of thread scheduling.
-  EXPECT_EQ(serial_spans.RootCount(), programs.size());
+  EXPECT_EQ(serial_spans.RootCount(), requests.size());
   EXPECT_EQ(serial_spans.ToText(/*with_timing=*/false),
             pooled_spans.ToText(/*with_timing=*/false));
 }
@@ -393,8 +402,8 @@ TEST(ConversionServiceTest, ServiceSpansCoverAllFiveStages) {
   options.supervisor.spans = &spans;
   std::unique_ptr<ConversionService> service =
       MakeService(plan, std::move(options));
-  std::vector<Program> programs = CompanyPrograms();
-  SystemConversionReport report = *service->ConvertSystem(programs);
+  std::vector<ConversionRequest> requests = CompanyRequests();
+  SystemConversionReport report = *service->ConvertSystem(requests);
   ASSERT_GT(report.accepted, 0);
   std::string tree = spans.ToText(/*with_timing=*/false);
   for (const char* stage :

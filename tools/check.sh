@@ -1,13 +1,16 @@
 #!/bin/sh
-# One-command verification: the tier-1 build + test suite, then the
-# concurrency-sensitive service tests again under ThreadSanitizer and the
-# storage, engine and data-copy tests under AddressSanitizer.
+# One-command verification: the tier-1 build + test suite, the fuzz
+# sweeps, bench smokes and a dbpcd end-to-end smoke, then the concurrency-
+# sensitive service and daemon tests again under ThreadSanitizer, the
+# storage, engine, data-copy and wire-facing tests under AddressSanitizer,
+# and the wire-facing tests under UndefinedBehaviorSanitizer.
 #
 #   tools/check.sh [jobs]
 #
-# Build trees: build/ (plain), build-tsan/ (-DDBPC_SANITIZE=thread) and
-# build-asan/ (-DDBPC_SANITIZE=address). The sanitizer matrix also accepts
-# undefined; see the DBPC_SANITIZE option in the top-level CMakeLists.txt.
+# Build trees: build/ (plain), build-tsan/ (-DDBPC_SANITIZE=thread),
+# build-asan/ (-DDBPC_SANITIZE=address) and build-ubsan/
+# (-DDBPC_SANITIZE=undefined); see the DBPC_SANITIZE option in the
+# top-level CMakeLists.txt.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,7 +72,7 @@ echo "== bench: cost-based optimizer sanity (E10 --smoke) =="
 echo "== bench: indexed access-path sanity (E11 --smoke) =="
 ./build/bench/bench_index_paths --smoke
 
-echo "== bench: daemon load sanity (E13/E16 --smoke, epoll reactor) =="
+echo "== bench: daemon load sanity (E13/E16 --smoke) =="
 ./build/bench/bench_daemon --smoke
 
 echo "== bench: columnar bulk translation sanity (E14 --smoke) =="
@@ -78,73 +81,65 @@ echo "== bench: columnar bulk translation sanity (E14 --smoke) =="
 echo "== bench: conversion cache sanity (E15 --smoke) =="
 ./build/bench/bench_conversion_cache --smoke
 
-# The end-to-end smoke runs once per io-model: the epoll reactor (the
-# Linux default) and the thread-per-connection fallback must both serve a
-# mixed burst and drain cleanly on SIGTERM. The epoll pass adds an
-# open-loop (fixed offered rate) dbpc_load leg, which measures latency
-# from each request's scheduled send instant — the coordinated-omission-
-# corrected view.
-for IO_MODEL in threads epoll; do
-  echo "== daemon: dbpcd end-to-end smoke (io-model=$IO_MODEL) =="
-  rm -f "$TRACE_DIR/dbpcd.port" "$TRACE_DIR/dbpcd.admin.port"
-  ./build/tools/dbpcd --schema samples/company.ddl --plan samples/fig44.plan \
-    --port 0 --port-file "$TRACE_DIR/dbpcd.port" --jobs 4 \
-    --io-model "$IO_MODEL" \
-    --admin-port 0 --admin-port-file "$TRACE_DIR/dbpcd.admin.port" \
-    --slow-request-ms 2000 --drain-linger-ms 2000 \
-    --metrics-json "$TRACE_DIR/dbpcd.metrics.json" \
-    2> "$TRACE_DIR/dbpcd.log" &
-  DBPCD_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    [ -s "$TRACE_DIR/dbpcd.port" ] && { PORT="$(cat "$TRACE_DIR/dbpcd.port")"; break; }
-    sleep 0.1
-  done
-  if [ -z "$PORT" ]; then
-    echo "dbpcd smoke: daemon did not report a port (io-model=$IO_MODEL)"
-    cat "$TRACE_DIR/dbpcd.log"
-    kill "$DBPCD_PID" 2>/dev/null || true
-    exit 1
-  fi
-  ADMIN_PORT="$(cat "$TRACE_DIR/dbpcd.admin.port")"
-  # A short mixed burst (10% malformed payloads exercise the failed-job
-  # path); dbpc_load exits nonzero if any request went unanswered, and the
-  # --scrape-url leg folds the daemon-side queue depth and conversions/sec
-  # into its report.
-  ./build/tools/dbpc_load --port "$PORT" --connections 16 --duration-ms 1000 \
-    --malformed-pct 10 --trace-pct 5 --quiet \
-    --scrape-url "http://127.0.0.1:$ADMIN_PORT" \
-    --report "$TRACE_DIR/dbpc_load.json"
-  if [ "$IO_MODEL" = "epoll" ]; then
-    ./build/tools/dbpc_load --port "$PORT" --connections 8 \
-      --duration-ms 1000 --rps 200 --open-loop --quiet \
-      --report "$TRACE_DIR/dbpc_load_open.json"
-  fi
-  # The admin plane serves well-formed Prometheus exposition with every
-  # operational family, a healthy /healthz + /readyz, and JSON /varz.
-  python3 tools/validate_metrics.py --base "http://127.0.0.1:$ADMIN_PORT"
-  # Graceful shutdown under SIGTERM must drain every admitted job (exit 0)
-  # and keep /readyz scrapeable — answering 503 — through the
-  # --drain-linger-ms lame-duck window.
-  kill -TERM "$DBPCD_PID"
-  python3 tools/validate_metrics.py --base "http://127.0.0.1:$ADMIN_PORT" \
-    --readyz-only --readyz-expect 503 --retries 40
-  wait "$DBPCD_PID"
-  grep -q "drained" "$TRACE_DIR/dbpcd.log"
-  grep -q "io=$IO_MODEL" "$TRACE_DIR/dbpcd.log"
-  grep -q "daemon_started" "$TRACE_DIR/dbpcd.log"
-  grep -q "drain_started" "$TRACE_DIR/dbpcd.log"
-  # The metrics snapshot and the load report must both be valid JSON.
-  python3 - "$TRACE_DIR/dbpcd.metrics.json" "$TRACE_DIR/dbpc_load.json" <<'EOF'
+# The end-to-end smoke: dbpcd must serve a mixed burst and an open-loop
+# (fixed offered rate) dbpc_load leg, which measures latency from each
+# request's scheduled send instant — the coordinated-omission-corrected
+# view — and then drain cleanly on SIGTERM.
+echo "== daemon: dbpcd end-to-end smoke =="
+./build/tools/dbpcd --schema samples/company.ddl --plan samples/fig44.plan \
+  --port 0 --port-file "$TRACE_DIR/dbpcd.port" --jobs 4 \
+  --admin-port 0 --admin-port-file "$TRACE_DIR/dbpcd.admin.port" \
+  --slow-request-ms 2000 --drain-linger-ms 2000 \
+  --metrics-json "$TRACE_DIR/dbpcd.metrics.json" \
+  2> "$TRACE_DIR/dbpcd.log" &
+DBPCD_PID=$!
+PORT=""
+for _ in $(seq 1 100); do
+  [ -s "$TRACE_DIR/dbpcd.port" ] && { PORT="$(cat "$TRACE_DIR/dbpcd.port")"; break; }
+  sleep 0.1
+done
+if [ -z "$PORT" ]; then
+  echo "dbpcd smoke: daemon did not report a port"
+  cat "$TRACE_DIR/dbpcd.log"
+  kill "$DBPCD_PID" 2>/dev/null || true
+  exit 1
+fi
+ADMIN_PORT="$(cat "$TRACE_DIR/dbpcd.admin.port")"
+# A short mixed burst (10% malformed payloads exercise the failed-job
+# path); dbpc_load exits nonzero if any request went unanswered, and the
+# --scrape-url leg folds the daemon-side queue depth and conversions/sec
+# into its report.
+./build/tools/dbpc_load --port "$PORT" --connections 16 --duration-ms 1000 \
+  --malformed-pct 10 --trace-pct 5 --quiet \
+  --scrape-url "http://127.0.0.1:$ADMIN_PORT" \
+  --report "$TRACE_DIR/dbpc_load.json"
+./build/tools/dbpc_load --port "$PORT" --connections 8 \
+  --duration-ms 1000 --rps 200 --open-loop --quiet \
+  --report "$TRACE_DIR/dbpc_load_open.json"
+# The admin plane serves well-formed Prometheus exposition with every
+# operational family, a healthy /healthz + /readyz, and JSON /varz.
+python3 tools/validate_metrics.py --base "http://127.0.0.1:$ADMIN_PORT"
+# Graceful shutdown under SIGTERM must drain every admitted job (exit 0)
+# and keep /readyz scrapeable — answering 503 — through the
+# --drain-linger-ms lame-duck window.
+kill -TERM "$DBPCD_PID"
+python3 tools/validate_metrics.py --base "http://127.0.0.1:$ADMIN_PORT" \
+  --readyz-only --readyz-expect 503 --retries 40
+wait "$DBPCD_PID"
+grep -q "drained" "$TRACE_DIR/dbpcd.log"
+grep -q "io=epoll" "$TRACE_DIR/dbpcd.log"
+grep -q "daemon_started" "$TRACE_DIR/dbpcd.log"
+grep -q "drain_started" "$TRACE_DIR/dbpcd.log"
+# The metrics snapshot and the load report must both be valid JSON.
+python3 - "$TRACE_DIR/dbpcd.metrics.json" "$TRACE_DIR/dbpc_load.json" <<'EOF'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as f:
         json.load(f)
 print("daemon smoke: metrics and load report parse as JSON")
 EOF
-done
 
-echo "== tsan: service tests under -DDBPC_SANITIZE=thread (build-tsan/) =="
+echo "== tsan: service and daemon tests under -DDBPC_SANITIZE=thread (build-tsan/) =="
 cmake -B build-tsan -S . -DDBPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target service_test worker_pool_test metrics_test log_test \
@@ -157,17 +152,30 @@ cmake --build build-tsan -j "$JOBS" \
 (cd build-tsan/tests/storage && ./store_test && ./extent_test)
 (cd build-tsan/tests/convert && ./template_cache_test)
 
+# The wire-facing tests: everything that parses bytes from a peer, plus the
+# session teardown that runs through shared_ptr/weak_ptr wakes.
+WIRE_TESTS="protocol_test sock_buffer_test daemon_options_test daemon_test
+  reactor_test admin_test"
+
 # The record store hands out raw pointers into the records it owns, and the
 # engine and the bulk copy engine hold them across inserts, adoptions and
 # promotions; AddressSanitizer checks every such pointer these tests take.
-echo "== asan: storage, engine and copy tests under -DDBPC_SANITIZE=address (build-asan/) =="
+echo "== asan: storage, engine, copy and wire tests under -DDBPC_SANITIZE=address (build-asan/) =="
 cmake -B build-asan -S . -DDBPC_SANITIZE=address >/dev/null
+# shellcheck disable=SC2086  # WIRE_TESTS is a word list
 cmake --build build-asan -j "$JOBS" \
   --target store_test extent_test database_test index_test bulk_load_test \
-           data_copy_test
+           data_copy_test $WIRE_TESTS
 (cd build-asan/tests/storage && ./store_test && ./extent_test)
 (cd build-asan/tests/engine && ./database_test && ./index_test \
   && ./bulk_load_test)
 (cd build-asan/tests/restructure && ./data_copy_test)
+(cd build-asan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
+
+echo "== ubsan: wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
+cmake -B build-ubsan -S . -DDBPC_SANITIZE=undefined >/dev/null
+# shellcheck disable=SC2086  # WIRE_TESTS is a word list
+cmake --build build-ubsan -j "$JOBS" --target $WIRE_TESTS
+(cd build-ubsan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
 
 echo "== check.sh: all green =="

@@ -24,10 +24,7 @@
 //   --write-timeout-ms <n>   per-reply session deadline (default 10000)
 //   --drain-grace-ms <n>     how long a drain waits for admitted jobs
 //                            (default 30000)
-//   --io-model <m>           session multiplexing: "epoll" (a small pool
-//                            of reactor threads; default on Linux) or
-//                            "threads" (one thread per connection)
-//   --io-threads <n>         reactor threads under --io-model epoll
+//   --io-threads <n>         epoll reactor threads serving the sessions
 //                            (default 2)
 //   --strict                 reject analyst-level conversions (default: an
 //                            approve-all analyst, like dbpcc)
@@ -51,6 +48,8 @@
 //                            before exiting, so orchestrators observe the
 //                            503 /readyz before the listener vanishes
 //                            (default 0)
+//
+// Linux only: sessions run on epoll reactors.
 //
 // Shutdown: SIGTERM or SIGINT triggers a graceful drain — new SUBMITs are
 // refused, every admitted job completes (bounded by --drain-grace-ms),
@@ -86,7 +85,7 @@ int Usage() {
       "[--port <n>] [--port-file <file>] [--jobs <n>] [--deadline-ms <n>] "
       "[--queue-depth <n>] [--max-connections <n>] [--read-timeout-ms <n>] "
       "[--write-timeout-ms <n>] [--drain-grace-ms <n>] "
-      "[--io-model threads|epoll] [--io-threads <n>] [--strict] "
+      "[--io-threads <n>] [--strict] "
       "[--no-optimizer] [--no-cache] [--metrics-json <file>] "
       "[--admin-port <n>] [--admin-port-file <file>] "
       "[--log-level debug|info|warn|error|off] [--log-json] "
@@ -153,10 +152,6 @@ int main(int argc, char** argv) {
       if (!next(&options.write_timeout_ms)) return Usage();
     } else if (arg == "--drain-grace-ms") {
       if (!next(&options.drain_grace_ms)) return Usage();
-    } else if (arg == "--io-model" && i + 1 < argc) {
-      Result<DaemonIoModel> model = ParseDaemonIoModel(argv[++i]);
-      if (!model.ok()) return Fail(model.status(), "--io-model");
-      options.io_model = *model;
     } else if (arg == "--io-threads") {
       if (!next(&options.io_threads)) return Usage();
     } else if (arg == "--strict") {
@@ -217,9 +212,9 @@ int main(int argc, char** argv) {
   sigaction(SIGINT, &action, nullptr);
 
   std::fprintf(stderr,
-               "dbpcd: listening on %s:%d (proto=%d, jobs=%d, io=%s)\n",
+               "dbpcd: listening on %s:%d (proto=%d, jobs=%d, io=epoll)\n",
                options.host.c_str(), (*daemon)->port(), kProtocolVersion,
-               options.service.jobs, DaemonIoModelName(options.io_model));
+               options.service.jobs);
   if (!port_file.empty()) {
     std::ofstream out(port_file);
     if (!out) {
