@@ -53,6 +53,12 @@ Result<DmlEmulator::EmulationRun> DmlEmulator::Run(
     return Status::NotConvertible(
         "emulation layer cannot map a run-time-variable program");
   }
+  // A mapping that needs an analyst's decision is never run unattended,
+  // exactly as the pipeline never accepts one without an analyst.
+  if (mapped.outcome == Convertibility::kNeedsAnalyst) {
+    return Status::NeedsAnalyst(
+        "emulation layer cannot map the program without an analyst");
+  }
   // The mapped calls are the emulation layer's work, not a program
   // rewrite's; provenance says so.
   RestampStrategy(&mapped.converted, "emulation");

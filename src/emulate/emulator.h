@@ -41,9 +41,11 @@ class DmlEmulator {
   /// Runs the ORIGINAL source program against the restructured `target_db`
   /// through the emulation layer. Refuses programs the mapping cannot
   /// cover (same refusals as conversion — the strategy shares the analysis
-  /// problem). The mapped statements carry Provenance with strategy
-  /// "emulation". With an enabled `span`, the mapping stages and the
-  /// emulated execution (per-statement OpStats) appear as child spans.
+  /// problem): kNotConvertible for run-time variability, kNeedsAnalyst for
+  /// a mapping that needs an analyst's decision. The mapped statements
+  /// carry Provenance with strategy "emulation". With an enabled `span`,
+  /// the mapping stages and the emulated execution (per-statement OpStats)
+  /// appear as child spans.
   Result<EmulationRun> Run(const Program& source_program, Database* target_db,
                            const IoScript& script,
                            SpanContext span = {}) const;

@@ -1,8 +1,11 @@
 // The differential driver: parses a case's textual artifacts, runs the
-// source program, converts via each strategy, replays under the identical
-// IoScript and diffs traces.
+// source program and checks each requested axis of the table below. Every
+// program run is a leg (RunLeg) under a Config; the strategies diff one leg
+// against the source run, and the config axes run the same legs under two
+// configs and compare them (CompareConfigs).
 
-#include <functional>
+#include <optional>
+#include <sstream>
 #include <utility>
 
 #include "bridge/bridge.h"
@@ -22,52 +25,15 @@
 
 namespace dbpc {
 
-const char* FuzzStrategyName(FuzzStrategy s) {
-  switch (s) {
-    case FuzzStrategy::kRewrite:
-      return "rewrite";
-    case FuzzStrategy::kEmulation:
-      return "emulation";
-    case FuzzStrategy::kBridge:
-      return "bridge";
-    case FuzzStrategy::kOptimizerDiff:
-      return "optimizer";
-    case FuzzStrategy::kIndexDiff:
-      return "index";
-    case FuzzStrategy::kColumnarDiff:
-      return "columnar";
-    case FuzzStrategy::kCacheDiff:
-      return "cache";
-  }
-  return "unknown";
-}
-
-Result<FuzzStrategy> ParseFuzzStrategyName(const std::string& name) {
-  for (FuzzStrategy s : AllFuzzStrategies()) {
-    if (name == FuzzStrategyName(s)) return s;
-  }
-  return Status::InvalidArgument(
-      "unknown strategy '" + name +
-      "' (want rewrite, emulation, bridge, optimizer, index, columnar or "
-      "cache)");
-}
-
-std::vector<FuzzStrategy> AllFuzzStrategies() {
-  return {FuzzStrategy::kRewrite,       FuzzStrategy::kEmulation,
-          FuzzStrategy::kBridge,        FuzzStrategy::kOptimizerDiff,
-          FuzzStrategy::kIndexDiff,     FuzzStrategy::kColumnarDiff,
-          FuzzStrategy::kCacheDiff};
-}
-
 namespace {
 
-/// Everything parsed / loaded once per case, shared across strategies.
+/// Everything parsed / loaded once per case, shared across axes.
 struct PreparedCase {
   Schema source_schema;
   RestructuringPlan plan;
   Program program;
   IoScript script;
-  std::string source_data;  ///< canonical dump, reloaded per strategy run
+  std::string source_data;  ///< canonical dump, reloaded per leg
 };
 
 Result<PreparedCase> Prepare(const FuzzCase& c) {
@@ -80,8 +46,8 @@ Result<PreparedCase> Prepare(const FuzzCase& c) {
   return p;
 }
 
-/// A fresh source database (both the source run and each strategy mutate
-/// their own copy, so update programs stay comparable).
+/// A fresh source database (every leg mutates its own copy, so update
+/// programs stay comparable).
 Result<Database> LoadSource(const PreparedCase& p) {
   return LoadDatabaseText(p.source_schema, p.source_data);
 }
@@ -91,405 +57,205 @@ Result<Database> LoadTarget(const PreparedCase& p) {
   return TranslateDatabase(source, p.plan.View());
 }
 
-StrategyRun Diff(FuzzStrategy strategy, const Trace& source,
-                 const Trace& target) {
-  StrategyRun out;
-  out.strategy = strategy;
-  ptrdiff_t divergence = Trace::FirstDivergence(source, target);
-  if (divergence < 0) {
-    out.outcome = StrategyOutcome::kEquivalent;
-  } else {
-    out.outcome = StrategyOutcome::kDivergent;
-    out.divergence = divergence;
-    size_t i = static_cast<size_t>(divergence);
-    std::string source_event = i < source.events().size()
-                                   ? source.events()[i].ToString()
-                                   : "<end of trace>";
-    std::string target_event = i < target.events().size()
-                                   ? target.events()[i].ToString()
-                                   : "<end of trace>";
-    out.detail = "traces diverge at event " + std::to_string(divergence) +
-                 ": source " + source_event + " vs converted " + target_event;
-    out.source_trace = source;
-    out.target_trace = target;
+Result<PipelineOutcome> Convert(const PreparedCase& p,
+                                const SupervisorOptions& options) {
+  DBPC_ASSIGN_OR_RETURN(
+      ConversionSupervisor supervisor,
+      ConversionSupervisor::Create(p.source_schema, p.plan.View(), options));
+  return supervisor.ConvertProgram(p.program);
+}
+
+/// A leg is one program run: the source program on the source database, or
+/// the rewrite, emulation or bridge run on the translated database. The
+/// translate leg is the translation itself: its trace is the translated
+/// dump, one event per line.
+enum class Leg { kSource, kTranslate, kRewrite, kEmulation, kBridge };
+
+const char* LegName(Leg leg) {
+  static constexpr const char* kNames[] = {"source run", "translate data",
+                                           "rewrite run", "emulation run",
+                                           "bridge run"};
+  return kNames[static_cast<int>(leg)];
+}
+
+/// What a leg runs under. The defaults are the production settings; each
+/// config axis flips one knob.
+struct Config {
+  IndexOptions index;
+  DataCopyEngine engine = DataCopyEngine::kColumnarBulk;
+  SpanContext span;  ///< receives the run's statement spans when enabled
+};
+
+/// A leg's trace, or why it stopped.
+struct LegRun {
+  enum Stop {
+    kRan,
+    kRefused,    ///< the emulator or bridge does not apply
+    kTranslate,  ///< loading or translating the database failed
+    kRun,        ///< the run itself failed
+  };
+  Stop stop = kRan;
+  Status status;
+  Trace trace;
+};
+
+/// The RunResult inside an emulation or bridge run.
+template <typename StrategyResult>
+Result<RunResult> RunOf(Result<StrategyResult> r) {
+  if (!r.ok()) return r.status();
+  return std::move(r->run);
+}
+
+LegRun RunLeg(Leg leg, const PreparedCase& p, const Program& program,
+              const Config& config) {
+  LegRun out;
+  auto stop = [&out](LegRun::Stop why, Status status) {
+    out.stop = why;
+    out.status = std::move(status);
+    return out;
+  };
+  ScopedDataCopyEngine engine(config.engine);
+  // An emulator or bridge that cannot apply refuses before the data loads.
+  std::optional<DmlEmulator> emulator;
+  std::optional<BridgeRunner> bridge;
+  if (leg == Leg::kEmulation) {
+    Result<DmlEmulator> made =
+        DmlEmulator::Create(p.source_schema, p.plan.View());
+    if (!made.ok()) return stop(LegRun::kRefused, made.status());
+    emulator.emplace(std::move(made).value());
+  } else if (leg == Leg::kBridge) {
+    // Housel's condition failed: the plan has no inverse, so no bridge can
+    // reconstruct the source view. Not a bug.
+    Result<BridgeRunner> made =
+        BridgeRunner::Create(p.source_schema, p.plan.View());
+    if (!made.ok()) return stop(LegRun::kRefused, made.status());
+    bridge.emplace(std::move(made).value());
   }
+  Result<Database> db = leg == Leg::kSource ? LoadSource(p) : LoadTarget(p);
+  if (!db.ok()) return stop(LegRun::kTranslate, db.status());
+  if (leg == Leg::kTranslate) {
+    Result<std::string> dump = DumpDatabaseText(*db);
+    if (!dump.ok()) return stop(LegRun::kTranslate, dump.status());
+    std::istringstream lines(*dump);
+    for (std::string line; std::getline(lines, line);) {
+      out.trace.RecordFileWrite("dump", line);
+    }
+    return out;
+  }
+  db->SetIndexOptions(config.index);
+  Result<RunResult> run =
+      emulator ? RunOf(emulator->Run(program, &*db, p.script, config.span))
+      : bridge ? RunOf(bridge->Run(program, &*db, p.script))
+               : Interpreter(&*db, p.script).Run(program, config.span);
+  if (!run.ok()) {
+    // Both refuse programs they cannot cover; the emulator shares the
+    // conversion analysis, so it also refuses what the pipeline would not
+    // run without an analyst.
+    StatusCode code = run.status().code();
+    bool refused = (emulator || bridge) &&
+                   (code == StatusCode::kNotConvertible ||
+                    code == StatusCode::kUnsupported ||
+                    (emulator && code == StatusCode::kNeedsAnalyst));
+    return stop(refused ? LegRun::kRefused : LegRun::kRun, run.status());
+  }
+  out.trace = std::move(run->trace);
   return out;
 }
 
-StrategyRun Skip(FuzzStrategy strategy, std::string why) {
-  StrategyRun out;
-  out.strategy = strategy;
-  out.outcome = StrategyOutcome::kSkipped;
-  out.detail = std::move(why);
-  return out;
+StrategyRun Equivalent() { return {.outcome = StrategyOutcome::kEquivalent}; }
+
+StrategyRun Skip(std::string why) {
+  return {.outcome = StrategyOutcome::kSkipped, .detail = std::move(why)};
+}
+
+StrategyRun Divergent(std::string detail) {
+  return {.outcome = StrategyOutcome::kDivergent, .detail = std::move(detail)};
 }
 
 /// An accepted conversion that then fails to run is itself a divergence:
 /// the source program ran, the converted system did not.
-StrategyRun Broken(FuzzStrategy strategy, const std::string& stage,
-                   const Status& status) {
-  StrategyRun out;
-  out.strategy = strategy;
-  out.outcome = StrategyOutcome::kDivergent;
-  out.detail = stage + ": " + status.ToString();
+StrategyRun Broken(const std::string& stage, const Status& status) {
+  return Divergent(stage + ": " + status.ToString());
+}
+
+StrategyRun Diff(const Trace& source, const Trace& target) {
+  ptrdiff_t divergence = Trace::FirstDivergence(source, target);
+  if (divergence < 0) return Equivalent();
+  size_t i = static_cast<size_t>(divergence);
+  std::string source_event = i < source.events().size()
+                                 ? source.events()[i].ToString()
+                                 : "<end of trace>";
+  std::string target_event = i < target.events().size()
+                                 ? target.events()[i].ToString()
+                                 : "<end of trace>";
+  StrategyRun out = Divergent(
+      "traces diverge at event " + std::to_string(divergence) + ": source " +
+      source_event + " vs converted " + target_event);
+  out.divergence = divergence;
+  out.source_trace = source;
+  out.target_trace = target;
   return out;
 }
 
-StrategyRun RunRewrite(const PreparedCase& p, const Trace& source_trace,
-                       const PipelineOutcome& outcome, SpanContext span) {
-  Result<Database> target = LoadTarget(p);
-  if (!target.ok()) {
-    return Broken(FuzzStrategy::kRewrite, "translate data", target.status());
-  }
-  Interpreter interp(&*target, p.script);
-  Result<RunResult> run = interp.Run(outcome.conversion.converted, span);
-  if (!run.ok()) {
-    return Broken(FuzzStrategy::kRewrite, "run converted program",
-                  run.status());
-  }
-  return Diff(FuzzStrategy::kRewrite, source_trace, run->trace);
+/// A strategy leg that produced no trace: a refusal is a skip; a translate
+/// or run failure is a divergence.
+StrategyRun Stopped(Leg leg, const LegRun& run) {
+  if (run.stop == LegRun::kRefused) return Skip(run.status.ToString());
+  return Broken(run.stop == LegRun::kTranslate ? "translate data"
+                                               : LegName(leg),
+                run.status);
 }
 
-StrategyRun RunEmulation(const PreparedCase& p, const Trace& source_trace,
-                         SpanContext span) {
-  Result<DmlEmulator> emulator =
-      DmlEmulator::Create(p.source_schema, p.plan.View());
-  if (!emulator.ok()) {
-    return Skip(FuzzStrategy::kEmulation, emulator.status().ToString());
-  }
-  Result<Database> target = LoadTarget(p);
-  if (!target.ok()) {
-    return Broken(FuzzStrategy::kEmulation, "translate data", target.status());
-  }
-  Result<DmlEmulator::EmulationRun> run =
-      emulator->Run(p.program, &*target, p.script, span);
-  if (!run.ok()) {
-    // The emulator shares the conversion analysis, so its refusals mirror
-    // the pipeline's; on a case the pipeline accepted, a refusal here is
-    // still a legitimate skip only for kNotConvertible/kUnsupported.
-    if (run.status().code() == StatusCode::kNotConvertible ||
-        run.status().code() == StatusCode::kUnsupported) {
-      return Skip(FuzzStrategy::kEmulation, run.status().ToString());
-    }
-    return Broken(FuzzStrategy::kEmulation, "emulated run", run.status());
-  }
-  return Diff(FuzzStrategy::kEmulation, source_trace, run->run.trace);
+/// What the gate conversion and the source run established about a case.
+struct CaseContext {
+  const PreparedCase& p;
+  const PipelineOutcome& outcome;  ///< the gate conversion
+  const Trace& source_trace;
+  bool automatic;    ///< the gate conversion is accepted and automatic
+  SpanContext span;  ///< the axis's root span; disabled when untraced
+};
+
+const Program& LegProgram(const CaseContext& c, Leg leg) {
+  return leg == Leg::kRewrite ? c.outcome.conversion.converted : c.p.program;
 }
 
-StrategyRun RunBridge(const PreparedCase& p, const Trace& source_trace) {
-  Result<BridgeRunner> bridge =
-      BridgeRunner::Create(p.source_schema, p.plan.View());
-  if (!bridge.ok()) {
-    // Housel's condition failed: the plan has no inverse, a bridge cannot
-    // reconstruct the source view. Not a bug.
-    return Skip(FuzzStrategy::kBridge, bridge.status().ToString());
-  }
-  Result<Database> target = LoadTarget(p);
-  if (!target.ok()) {
-    return Broken(FuzzStrategy::kBridge, "translate data", target.status());
-  }
-  Result<BridgeRunner::BridgeRun> run =
-      bridge->Run(p.program, &*target, p.script);
-  if (!run.ok()) {
-    if (run.status().code() == StatusCode::kNotConvertible ||
-        run.status().code() == StatusCode::kUnsupported) {
-      return Skip(FuzzStrategy::kBridge, run.status().ToString());
-    }
-    return Broken(FuzzStrategy::kBridge, "bridge run", run.status());
-  }
-  return Diff(FuzzStrategy::kBridge, source_trace, run->run.trace);
+StrategyRun DiffLeg(const CaseContext& c, Leg leg) {
+  LegRun run = RunLeg(leg, c.p, LegProgram(c, leg), {.span = c.span});
+  if (run.stop != LegRun::kRan) return Stopped(leg, run);
+  return Diff(c.source_trace, run.trace);
 }
 
-/// The optimizer-differential axis: converts with the optimizer off, runs
-/// the unoptimized program, then applies the cost-based optimizer (with
-/// statistics collected from the translated database) to a copy and diffs
-/// the two converted runs. The source trace plays no part — the oracle is
-/// the optimizer's own no-behaviour-change contract, so it catches bugs
-/// even in rewrites the other axes would mask.
-StrategyRun RunOptimizerDiff(const PreparedCase& p, SpanContext span) {
-  SupervisorOptions options;
-  options.run_optimizer = false;
-  Result<ConversionSupervisor> supervisor = ConversionSupervisor::Create(
-      p.source_schema, p.plan.View(), options);
-  if (!supervisor.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "unoptimized pipeline",
-                  supervisor.status());
-  }
-  Result<PipelineOutcome> outcome = supervisor->ConvertProgram(p.program);
-  if (!outcome.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "unoptimized conversion",
-                  outcome.status());
-  }
-  const Program& unoptimized = outcome->conversion.converted;
-
-  Result<Database> baseline_db = LoadTarget(p);
-  if (!baseline_db.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "translate data",
-                  baseline_db.status());
-  }
-  Interpreter baseline_interp(&*baseline_db, p.script);
-  SpanContext baseline_span = span.StartChild("unoptimized_run");
-  Result<RunResult> baseline = baseline_interp.Run(unoptimized, baseline_span);
-  baseline_span.End();
-  if (!baseline.ok()) {
-    // The unoptimized converted program fails to run: a conversion bug,
-    // not an optimizer bug — the rewrite axis owns it.
-    return Skip(FuzzStrategy::kOptimizerDiff,
-                "unoptimized run failed: " + baseline.status().ToString());
-  }
-
-  // Statistics come from a pristine translated instance (the baseline run
-  // above may have mutated its copy).
-  Result<Database> stats_db = LoadTarget(p);
-  if (!stats_db.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "translate data",
-                  stats_db.status());
-  }
-  StatisticsCatalog catalog = StatisticsCatalog::Collect(*stats_db);
-  Program optimized = unoptimized;
-  OptimizerStats ostats;
-  Status opt = OptimizeProgram(supervisor->target_schema(), &catalog,
-                               &optimized, &ostats);
-  if (!opt.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "optimize", opt);
-  }
-
-  Result<Database> optimized_db = LoadTarget(p);
-  if (!optimized_db.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "translate data",
-                  optimized_db.status());
-  }
-  Interpreter optimized_interp(&*optimized_db, p.script);
-  SpanContext optimized_span = span.StartChild("optimized_run");
-  Result<RunResult> run = optimized_interp.Run(optimized, optimized_span);
-  optimized_span.End();
-  if (!run.ok()) {
-    return Broken(FuzzStrategy::kOptimizerDiff, "run optimized program",
-                  run.status());
-  }
-  return Diff(FuzzStrategy::kOptimizerDiff, baseline->trace, run->trace);
-}
-
-/// The index-differential axis: every program run is repeated with index
-/// probing disabled and the two traces diffed. Like the optimizer axis the
-/// source trace is not the oracle — the contract under test is the index
-/// subsystem's own trace invisibility (engine/database.h), so a divergence
-/// is a bug even on a case the other axes would skip. `converted` is null
-/// when the conversion was not automatic; the source leg still runs.
-StrategyRun RunIndexDiff(const PreparedCase& p, const Program* converted) {
-  const IndexOptions index_off{.enabled = false, .auto_join_indexes = false};
-
-  struct Leg {
-    const char* name;
-    std::function<Result<Trace>(const IndexOptions&)> run;
-  };
-  std::vector<Leg> legs;
-  legs.push_back(
-      {"source run", [&](const IndexOptions& options) -> Result<Trace> {
-         DBPC_ASSIGN_OR_RETURN(Database db, LoadSource(p));
-         db.SetIndexOptions(options);
-         Interpreter interp(&db, p.script);
-         DBPC_ASSIGN_OR_RETURN(RunResult run, interp.Run(p.program));
-         return run.trace;
-       }});
-  if (converted != nullptr) {
-    legs.push_back(
-        {"rewrite run", [&](const IndexOptions& options) -> Result<Trace> {
-           DBPC_ASSIGN_OR_RETURN(Database db, LoadTarget(p));
-           db.SetIndexOptions(options);
-           Interpreter interp(&db, p.script);
-           DBPC_ASSIGN_OR_RETURN(RunResult run, interp.Run(*converted));
-           return run.trace;
-         }});
-    legs.push_back(
-        {"emulation run", [&](const IndexOptions& options) -> Result<Trace> {
-           DBPC_ASSIGN_OR_RETURN(
-               DmlEmulator emulator,
-               DmlEmulator::Create(p.source_schema, p.plan.View()));
-           DBPC_ASSIGN_OR_RETURN(Database db, LoadTarget(p));
-           db.SetIndexOptions(options);
-           DBPC_ASSIGN_OR_RETURN(DmlEmulator::EmulationRun run,
-                                 emulator.Run(p.program, &db, p.script));
-           return run.run.trace;
-         }});
-    legs.push_back(
-        {"bridge run", [&](const IndexOptions& options) -> Result<Trace> {
-           DBPC_ASSIGN_OR_RETURN(
-               BridgeRunner bridge,
-               BridgeRunner::Create(p.source_schema, p.plan.View()));
-           DBPC_ASSIGN_OR_RETURN(Database db, LoadTarget(p));
-           db.SetIndexOptions(options);
-           DBPC_ASSIGN_OR_RETURN(BridgeRunner::BridgeRun run,
-                                 bridge.Run(p.program, &db, p.script));
-           return run.run.trace;
-         }});
-  }
-
-  for (const Leg& leg : legs) {
-    Result<Trace> on = leg.run(IndexOptions{});
-    Result<Trace> off = leg.run(index_off);
-    if (!on.ok() && !off.ok()) {
-      // Both refuse or fail; only an index-dependent *difference* in the
-      // failure is a divergence (a strategy that never applies, e.g. a
-      // lossy plan for the bridge, fails identically on both sides).
-      if (on.status().ToString() == off.status().ToString()) continue;
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kIndexDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = std::string(leg.name) + ": indexes-on error '" +
-                   on.status().ToString() + "' vs indexes-off error '" +
-                   off.status().ToString() + "'";
-      return out;
+/// Runs `first`, then the three strategy legs when the gate conversion is
+/// automatic, each under `a` and under `b`. The two runs of a leg must
+/// stop with the same status or produce identical traces; a leg that stops
+/// alike on both sides (a bridge over a lossy plan) is no divergence.
+StrategyRun CompareConfigs(const CaseContext& c, Leg first, const Config& a,
+                           const char* a_name, const Config& b,
+                           const char* b_name) {
+  std::vector<Leg> legs = {first};
+  if (c.automatic) legs.insert(legs.end(), {Leg::kRewrite, Leg::kEmulation,
+                                            Leg::kBridge});
+  for (Leg leg : legs) {
+    LegRun x = RunLeg(leg, c.p, LegProgram(c, leg), a);
+    LegRun y = RunLeg(leg, c.p, LegProgram(c, leg), b);
+    if (x.status.ToString() != y.status.ToString()) {
+      return Divergent(std::string(LegName(leg)) + ": " + a_name + " '" +
+                       x.status.ToString() + "' vs " + b_name + " '" +
+                       y.status.ToString() + "'");
     }
-    if (on.ok() != off.ok()) {
-      return Broken(FuzzStrategy::kIndexDiff,
-                    std::string(leg.name) +
-                        (on.ok() ? " with indexes off" : " with indexes on"),
-                    on.ok() ? off.status() : on.status());
-    }
-    StrategyRun diff = Diff(FuzzStrategy::kIndexDiff, *on, *off);
+    if (!x.status.ok()) continue;
+    StrategyRun diff = Diff(x.trace, y.trace);
     if (diff.outcome == StrategyOutcome::kDivergent) {
-      diff.detail = std::string(leg.name) + ": " + diff.detail;
+      diff.detail = std::string(LegName(leg)) + ": " + diff.detail;
       return diff;
     }
   }
-  StrategyRun out;
-  out.strategy = FuzzStrategy::kIndexDiff;
-  out.outcome = StrategyOutcome::kEquivalent;
-  return out;
-}
-
-/// The columnar-differential axis: data translation is repeated under the
-/// columnar bulk copy engine and the record-at-a-time engine. The
-/// translate leg is unconditional — both engines must either fail with
-/// the same status or produce byte-identical translated dumps. When the
-/// conversion is automatic, the rewrite, emulation and bridge runs repeat
-/// under each engine and each pair of traces is diffed. The oracle is the
-/// bulk engine's equivalence contract (restructure/data_copy.h), so a
-/// divergence is a bug even on cases the other axes would skip.
-StrategyRun RunColumnarDiff(const PreparedCase& p, const Program* converted) {
-  auto translate = [&](DataCopyEngine engine) -> Result<std::string> {
-    ScopedDataCopyEngine scoped(engine);
-    DBPC_ASSIGN_OR_RETURN(Database target, LoadTarget(p));
-    return DumpDatabaseText(target);
-  };
-  Result<std::string> bulk = translate(DataCopyEngine::kColumnarBulk);
-  Result<std::string> record = translate(DataCopyEngine::kRecordAtATime);
-  if (bulk.ok() != record.ok()) {
-    return Broken(FuzzStrategy::kColumnarDiff,
-                  std::string("translate data") +
-                      (bulk.ok() ? " record-at-a-time" : " columnar"),
-                  bulk.ok() ? record.status() : bulk.status());
-  }
-  if (!bulk.ok()) {
-    if (bulk.status().ToString() != record.status().ToString()) {
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kColumnarDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = "translate data: columnar error '" +
-                   bulk.status().ToString() + "' vs record-at-a-time error '" +
-                   record.status().ToString() + "'";
-      return out;
-    }
-    // Both engines refuse the translation identically; no program can run
-    // on the target either way.
-    StrategyRun out;
-    out.strategy = FuzzStrategy::kColumnarDiff;
-    out.outcome = StrategyOutcome::kEquivalent;
-    return out;
-  }
-  if (*bulk != *record) {
-    StrategyRun out;
-    out.strategy = FuzzStrategy::kColumnarDiff;
-    out.outcome = StrategyOutcome::kDivergent;
-    out.detail =
-        "translate data: columnar and record-at-a-time dumps differ";
-    return out;
-  }
-
-  struct Leg {
-    const char* name;
-    std::function<Result<Trace>()> run;
-  };
-  std::vector<Leg> legs;
-  if (converted != nullptr) {
-    legs.push_back({"rewrite run", [&]() -> Result<Trace> {
-                      DBPC_ASSIGN_OR_RETURN(Database db, LoadTarget(p));
-                      Interpreter interp(&db, p.script);
-                      DBPC_ASSIGN_OR_RETURN(RunResult run,
-                                            interp.Run(*converted));
-                      return run.trace;
-                    }});
-    legs.push_back({"emulation run", [&]() -> Result<Trace> {
-                      DBPC_ASSIGN_OR_RETURN(
-                          DmlEmulator emulator,
-                          DmlEmulator::Create(p.source_schema, p.plan.View()));
-                      DBPC_ASSIGN_OR_RETURN(Database db, LoadTarget(p));
-                      DBPC_ASSIGN_OR_RETURN(DmlEmulator::EmulationRun run,
-                                            emulator.Run(p.program, &db,
-                                                         p.script));
-                      return run.run.trace;
-                    }});
-    legs.push_back({"bridge run", [&]() -> Result<Trace> {
-                      DBPC_ASSIGN_OR_RETURN(
-                          BridgeRunner bridge,
-                          BridgeRunner::Create(p.source_schema, p.plan.View()));
-                      DBPC_ASSIGN_OR_RETURN(Database db, LoadTarget(p));
-                      DBPC_ASSIGN_OR_RETURN(BridgeRunner::BridgeRun run,
-                                            bridge.Run(p.program, &db,
-                                                       p.script));
-                      return run.run.trace;
-                    }});
-  }
-  for (const Leg& leg : legs) {
-    Result<Trace> bulk_trace = [&] {
-      ScopedDataCopyEngine scoped(DataCopyEngine::kColumnarBulk);
-      return leg.run();
-    }();
-    Result<Trace> record_trace = [&] {
-      ScopedDataCopyEngine scoped(DataCopyEngine::kRecordAtATime);
-      return leg.run();
-    }();
-    if (!bulk_trace.ok() && !record_trace.ok()) {
-      // Both refuse or fail; only an engine-dependent *difference* in the
-      // failure is a divergence.
-      if (bulk_trace.status().ToString() == record_trace.status().ToString()) {
-        continue;
-      }
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kColumnarDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = std::string(leg.name) + ": columnar error '" +
-                   bulk_trace.status().ToString() +
-                   "' vs record-at-a-time error '" +
-                   record_trace.status().ToString() + "'";
-      return out;
-    }
-    if (bulk_trace.ok() != record_trace.ok()) {
-      return Broken(FuzzStrategy::kColumnarDiff,
-                    std::string(leg.name) + (bulk_trace.ok()
-                                                 ? " record-at-a-time"
-                                                 : " columnar"),
-                    bulk_trace.ok() ? record_trace.status()
-                                    : bulk_trace.status());
-    }
-    StrategyRun diff =
-        Diff(FuzzStrategy::kColumnarDiff, *bulk_trace, *record_trace);
-    if (diff.outcome == StrategyOutcome::kDivergent) {
-      diff.detail = std::string(leg.name) + ": " + diff.detail;
-      return diff;
-    }
-  }
-  StrategyRun out;
-  out.strategy = FuzzStrategy::kColumnarDiff;
-  out.outcome = StrategyOutcome::kEquivalent;
-  return out;
+  return Equivalent();
 }
 
 /// The conversion artifacts a client can observe, as one comparable text:
 /// classification, acceptance, analyst-facing notes, generated target
-/// source and the provenance listing. The cache's contract is that these
-/// are byte-identical cache on/off.
+/// source and the provenance listing.
 std::string ConversionArtifacts(const PipelineOutcome& outcome) {
   std::string out;
   out += std::string("classification: ") +
@@ -508,38 +274,61 @@ std::string ConversionArtifacts(const PipelineOutcome& outcome) {
   return out;
 }
 
-/// The cache-differential axis: every conversion artifact served from the
-/// template memo must be byte-identical to the uncached pipeline's, with
-/// per-program identity (name, provenance listing) re-stamped on hits.
-/// Four cached legs run against the uncached reference — cold, warm,
-/// warm-renamed, warm with provenance pre-stamped on the source (stamps
-/// must not split entries) — plus a traced pair (the memo bypasses itself
-/// under tracing, so span forests must match exactly), plus an execution
-/// trace diff of the converted programs when the conversion is automatic.
-/// Runs even for non-automatic cases: refusals are memoized too.
-StrategyRun RunCacheDiff(const PreparedCase& p) {
+StrategyRun RunOptimizerDiff(const CaseContext& c) {
+  SupervisorOptions options;
+  options.run_optimizer = false;
+  Result<ConversionSupervisor> supervisor = ConversionSupervisor::Create(
+      c.p.source_schema, c.p.plan.View(), options);
+  if (!supervisor.ok()) {
+    return Broken("unoptimized pipeline", supervisor.status());
+  }
+  Result<PipelineOutcome> outcome = supervisor->ConvertProgram(c.p.program);
+  if (!outcome.ok()) {
+    return Broken("unoptimized conversion", outcome.status());
+  }
+  const Program& unoptimized = outcome->conversion.converted;
+
+  SpanContext baseline_span = c.span.StartChild("unoptimized_run");
+  LegRun baseline =
+      RunLeg(Leg::kRewrite, c.p, unoptimized, {.span = baseline_span});
+  baseline_span.End();
+  if (baseline.stop == LegRun::kRun) {
+    // The unoptimized converted program fails to run: a conversion bug,
+    // not an optimizer bug — the rewrite axis owns it.
+    return Skip("unoptimized run failed: " + baseline.status.ToString());
+  }
+  if (baseline.stop != LegRun::kRan) return Stopped(Leg::kRewrite, baseline);
+
+  // Statistics come from a pristine translated instance.
+  Result<Database> stats_db = LoadTarget(c.p);
+  if (!stats_db.ok()) return Broken("translate data", stats_db.status());
+  StatisticsCatalog catalog = StatisticsCatalog::Collect(*stats_db);
+  Program optimized = unoptimized;
+  OptimizerStats ostats;
+  Status opt = OptimizeProgram(supervisor->target_schema(), &catalog,
+                               &optimized, &ostats);
+  if (!opt.ok()) return Broken("optimize", opt);
+
+  SpanContext optimized_span = c.span.StartChild("optimized_run");
+  LegRun run = RunLeg(Leg::kRewrite, c.p, optimized, {.span = optimized_span});
+  optimized_span.End();
+  if (run.stop != LegRun::kRan) return Stopped(Leg::kRewrite, run);
+  return Diff(baseline.trace, run.trace);
+}
+
+StrategyRun RunCacheDiff(const CaseContext& c) {
+  const PreparedCase& p = c.p;
   // Statistics from a pristine translated instance exercise the cost-based
   // optimizer on the cached path; a plan whose data translation fails
   // still exercises the rules-only path.
   SupervisorOptions base;
   StatisticsCatalog catalog;
-  Result<Database> stats_db = LoadTarget(p);
-  if (stats_db.ok()) {
+  if (Result<Database> stats_db = LoadTarget(p); stats_db.ok()) {
     catalog = StatisticsCatalog::Collect(*stats_db);
     base.statistics = &catalog;
   }
-
-  Result<ConversionSupervisor> uncached =
-      ConversionSupervisor::Create(p.source_schema, p.plan.View(), base);
-  if (!uncached.ok()) {
-    return Broken(FuzzStrategy::kCacheDiff, "uncached pipeline",
-                  uncached.status());
-  }
-  Result<PipelineOutcome> ref = uncached->ConvertProgram(p.program);
-  if (!ref.ok()) {
-    return Broken(FuzzStrategy::kCacheDiff, "uncached conversion",
-                  ref.status());
-  }
+  Result<PipelineOutcome> ref = Convert(p, base);
+  if (!ref.ok()) return Broken("uncached conversion", ref.status());
   const std::string ref_artifacts = ConversionArtifacts(*ref);
 
   TemplateCache cache;
@@ -547,44 +336,33 @@ StrategyRun RunCacheDiff(const PreparedCase& p) {
   with_cache.cache = &cache;
   Result<ConversionSupervisor> cached =
       ConversionSupervisor::Create(p.source_schema, p.plan.View(), with_cache);
-  if (!cached.ok()) {
-    return Broken(FuzzStrategy::kCacheDiff, "cached pipeline",
-                  cached.status());
-  }
+  if (!cached.ok()) return Broken("cached pipeline", cached.status());
 
   // Analyst-consulting outcomes are never memoized (no analyst policy is
   // configured here, so kNeedsAnalyst cases still log refused questions).
   const bool cacheable = ref->classification != Convertibility::kNeedsAnalyst;
-
-  struct CachedLeg {
-    const char* name;
-    Program program;
-    bool expect_hit;
-  };
-  std::vector<CachedLeg> legs;
-  legs.push_back({"cold run", p.program, false});
-  legs.push_back({"warm run", p.program, cacheable});
   Program renamed = p.program;
   renamed.name += "-2";
-  legs.push_back({"warm renamed run", renamed, cacheable});
   Program prestamped = p.program;
   StampSourceProvenance(&prestamped, "fuzz", "prestamp");
-  legs.push_back({"warm prestamped run", prestamped, cacheable});
+  struct CachedLeg {
+    const char* name;
+    const Program& program;
+    bool expect_hit;
+  };
+  const CachedLeg legs[] = {{"cold run", p.program, false},
+                            {"warm run", p.program, cacheable},
+                            {"warm renamed run", renamed, cacheable},
+                            {"warm prestamped run", prestamped, cacheable}};
 
   Result<PipelineOutcome> warm = Status::Internal("warm leg did not run");
   for (const CachedLeg& leg : legs) {
     Result<PipelineOutcome> got = cached->ConvertProgram(leg.program);
-    if (!got.ok()) {
-      return Broken(FuzzStrategy::kCacheDiff, leg.name, got.status());
-    }
+    if (!got.ok()) return Broken(leg.name, got.status());
     if (got->cache_hit != leg.expect_hit) {
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kCacheDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = std::string(leg.name) + ": expected cache_hit=" +
-                   (leg.expect_hit ? "true" : "false") + ", got " +
-                   (got->cache_hit ? "true" : "false");
-      return out;
+      return Divergent(std::string(leg.name) + ": expected cache_hit=" +
+                       (leg.expect_hit ? "true" : "false") + ", got " +
+                       (got->cache_hit ? "true" : "false"));
     }
     // Artifacts must match the uncached reference, with the leg's own
     // program name re-stamped (the renamed leg checks exactly that).
@@ -596,107 +374,177 @@ StrategyRun RunCacheDiff(const PreparedCase& p) {
     }
     std::string got_artifacts = ConversionArtifacts(*got);
     if (got_artifacts != expected) {
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kCacheDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = std::string(leg.name) +
-                   ": conversion artifacts differ from the uncached "
-                   "pipeline's (cached:\n" +
-                   got_artifacts + "uncached:\n" + expected + ")";
-      return out;
+      return Divergent(std::string(leg.name) +
+                       ": conversion artifacts differ from the uncached "
+                       "pipeline's (cached:\n" +
+                       got_artifacts + "uncached:\n" + expected + ")");
     }
     if (got->accepted && UnstampedCount(got->conversion.converted) != 0) {
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kCacheDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = std::string(leg.name) +
-                   ": served program has unstamped statements";
-      return out;
+      return Divergent(std::string(leg.name) +
+                       ": served program has unstamped statements");
     }
     if (leg.name == std::string("warm run")) warm = got;
   }
 
   // Traced conversions bypass the memo; the span forests (timings
   // excluded) must be byte-identical with and without a warm cache.
-  {
-    SpanCollector ref_spans;
-    SupervisorOptions traced = base;
-    traced.spans = &ref_spans;
-    SpanCollector cache_spans;
-    SupervisorOptions traced_cache = with_cache;
-    traced_cache.spans = &cache_spans;
-    Result<ConversionSupervisor> traced_ref = ConversionSupervisor::Create(
-        p.source_schema, p.plan.View(), traced);
-    Result<ConversionSupervisor> traced_cached = ConversionSupervisor::Create(
-        p.source_schema, p.plan.View(), traced_cache);
-    if (!traced_ref.ok() || !traced_cached.ok()) {
-      return Broken(FuzzStrategy::kCacheDiff, "traced pipeline",
-                    traced_ref.ok() ? traced_cached.status()
-                                    : traced_ref.status());
-    }
-    Result<PipelineOutcome> a = traced_ref->ConvertProgram(p.program);
-    Result<PipelineOutcome> b = traced_cached->ConvertProgram(p.program);
-    if (!a.ok() || !b.ok()) {
-      return Broken(FuzzStrategy::kCacheDiff, "traced conversion",
-                    a.ok() ? b.status() : a.status());
-    }
-    if (b->cache_hit) {
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kCacheDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail = "traced conversion was served from the cache";
-      return out;
-    }
-    if (ref_spans.ToText(false) != cache_spans.ToText(false)) {
-      StrategyRun out;
-      out.strategy = FuzzStrategy::kCacheDiff;
-      out.outcome = StrategyOutcome::kDivergent;
-      out.detail =
-          "traced span forests differ with a cache configured (cached:\n" +
-          cache_spans.ToText(false) + "uncached:\n" + ref_spans.ToText(false) +
-          ")";
-      return out;
-    }
+  SpanCollector ref_spans;
+  SpanCollector cache_spans;
+  SupervisorOptions traced = base;
+  traced.spans = &ref_spans;
+  SupervisorOptions traced_cache = with_cache;
+  traced_cache.spans = &cache_spans;
+  Result<PipelineOutcome> a = Convert(p, traced);
+  Result<PipelineOutcome> b = Convert(p, traced_cache);
+  if (!a.ok() || !b.ok()) {
+    return Broken("traced conversion", a.ok() ? b.status() : a.status());
+  }
+  if (b->cache_hit) {
+    return Divergent("traced conversion was served from the cache");
+  }
+  if (ref_spans.ToText(false) != cache_spans.ToText(false)) {
+    return Divergent(
+        "traced span forests differ with a cache configured (cached:\n" +
+        cache_spans.ToText(false) + "uncached:\n" + ref_spans.ToText(false) +
+        ")");
   }
 
   // When the conversion is automatic, the memoized program's execution
   // trace must match the uncached conversion's run for run.
   if (ref->accepted && ref->classification == Convertibility::kAutomatic) {
-    Result<Database> ref_db = LoadTarget(p);
-    Result<Database> warm_db = LoadTarget(p);
-    if (!ref_db.ok() || !warm_db.ok()) {
-      return Broken(FuzzStrategy::kCacheDiff, "translate data",
-                    ref_db.ok() ? warm_db.status() : ref_db.status());
+    LegRun ref_run = RunLeg(Leg::kRewrite, p, ref->conversion.converted, {});
+    if (ref_run.stop == LegRun::kRun) {
+      // A conversion bug the rewrite axis owns, not a cache bug.
+      return Skip("uncached run failed: " + ref_run.status.ToString());
     }
-    Interpreter ref_interp(&*ref_db, p.script);
-    Result<RunResult> ref_run = ref_interp.Run(ref->conversion.converted);
-    if (!ref_run.ok()) {
-      // The uncached converted program fails to run: a conversion bug the
-      // rewrite axis owns, not a cache bug.
-      return Skip(FuzzStrategy::kCacheDiff,
-                  "uncached run failed: " + ref_run.status().ToString());
+    if (ref_run.stop != LegRun::kRan) return Stopped(Leg::kRewrite, ref_run);
+    LegRun warm_run =
+        RunLeg(Leg::kRewrite, p, warm->conversion.converted, {});
+    if (warm_run.stop != LegRun::kRan) {
+      return Stopped(Leg::kRewrite, warm_run);
     }
-    Interpreter warm_interp(&*warm_db, p.script);
-    Result<RunResult> warm_run = warm_interp.Run(warm->conversion.converted);
-    if (!warm_run.ok()) {
-      return Broken(FuzzStrategy::kCacheDiff, "run cached program",
-                    warm_run.status());
-    }
-    StrategyRun diff =
-        Diff(FuzzStrategy::kCacheDiff, ref_run->trace, warm_run->trace);
+    StrategyRun diff = Diff(ref_run.trace, warm_run.trace);
     if (diff.outcome == StrategyOutcome::kDivergent) {
       diff.detail = "cached vs uncached converted run: " + diff.detail;
       return diff;
     }
   }
+  return Equivalent();
+}
 
-  StrategyRun out;
-  out.strategy = FuzzStrategy::kCacheDiff;
-  out.outcome = StrategyOutcome::kEquivalent;
-  return out;
+StrategyRun RunTraceDiff(const CaseContext& c) {
+  SpanCollector spans;
+  SupervisorOptions traced;
+  traced.spans = &spans;
+  Result<PipelineOutcome> outcome = Convert(c.p, traced);
+  if (!outcome.ok()) return Broken("traced conversion", outcome.status());
+  std::string traced_artifacts = ConversionArtifacts(*outcome);
+  std::string untraced_artifacts = ConversionArtifacts(c.outcome);
+  if (traced_artifacts != untraced_artifacts) {
+    return Divergent("conversion artifacts differ under tracing (traced:\n" +
+                     traced_artifacts + "untraced:\n" + untraced_artifacts +
+                     ")");
+  }
+  return CompareConfigs(c, Leg::kSource, {}, "untraced",
+                        {.span = spans.StartRoot("traced legs")}, "traced");
+}
+
+/// One differential axis: its `--strategy` name, whether it applies only
+/// when the gate conversion is automatic (otherwise a skip), and its check.
+struct Axis {
+  FuzzStrategy strategy;
+  const char* name;
+  bool automatic_only;
+  StrategyRun (*check)(const CaseContext&);
+};
+
+const Axis kAxes[] = {
+    // rewrite: the Figure 4.1 pipeline's converted program on the
+    // translated database must reproduce the source run's trace.
+    {FuzzStrategy::kRewrite, "rewrite", true,
+     [](const CaseContext& c) { return DiffLeg(c, Leg::kRewrite); }},
+    // emulation: the source program run through DmlEmulator's per-call
+    // mapping on the translated database.
+    {FuzzStrategy::kEmulation, "emulation", true,
+     [](const CaseContext& c) { return DiffLeg(c, Leg::kEmulation); }},
+    // bridge: the source program over a source view reconstructed from the
+    // translated database, with write-back.
+    {FuzzStrategy::kBridge, "bridge", true,
+     [](const CaseContext& c) { return DiffLeg(c, Leg::kBridge); }},
+    // optimizer: converts with the optimizer off, runs that program, then
+    // optimizes a copy cost-based with statistics from the translated
+    // database and diffs the two runs. The oracle is the optimizer's own
+    // no-behaviour-change contract, not the source trace; a baseline that
+    // fails to run is a skip (the rewrite axis owns it).
+    {FuzzStrategy::kOptimizerDiff, "optimizer", true, RunOptimizerDiff},
+    // index: every leg with index probing on and off. The oracle is the
+    // index subsystem's trace invisibility (engine/database.h), so the
+    // source leg runs on every case.
+    {FuzzStrategy::kIndexDiff, "index", false,
+     [](const CaseContext& c) {
+       return CompareConfigs(
+           c, Leg::kSource, {}, "indexes-on",
+           {.index = {.enabled = false, .auto_join_indexes = false}},
+           "indexes-off");
+     }},
+    // columnar: translation and every converted leg under the columnar
+    // bulk copy engine and the record-at-a-time reference engine. The
+    // oracle is the bulk engine's equivalence contract
+    // (restructure/data_copy.h): dumps, traces and errors all match.
+    {FuzzStrategy::kColumnarDiff, "columnar", false,
+     [](const CaseContext& c) {
+       return CompareConfigs(c, Leg::kTranslate, {}, "columnar",
+                             {.engine = DataCopyEngine::kRecordAtATime},
+                             "record-at-a-time");
+     }},
+    // cache: converts through a template memo (convert/template_cache.h)
+    // cold, warm, warm under another name and warm with provenance
+    // pre-stamped. Every leg's artifacts must equal the uncached
+    // pipeline's, warm legs must hit for analyst-free outcomes, a traced
+    // conversion must bypass the memo with an identical span forest, and
+    // on automatic cases the memoized program must run like the uncached
+    // one. Runs on every case: refusals are memoized too.
+    {FuzzStrategy::kCacheDiff, "cache", false, RunCacheDiff},
+    // trace: tracing never changes outcomes. A conversion with a span
+    // collector must yield the untraced artifacts, and the source leg (and
+    // on automatic cases the strategy legs) must run alike with and
+    // without a span.
+    {FuzzStrategy::kTraceDiff, "trace", false, RunTraceDiff},
+};
+
+const Axis& AxisOf(FuzzStrategy s) {
+  for (const Axis& axis : kAxes) {
+    if (axis.strategy == s) return axis;
+  }
+  return kAxes[0];
 }
 
 }  // namespace
+
+const char* FuzzStrategyName(FuzzStrategy s) { return AxisOf(s).name; }
+
+Result<FuzzStrategy> ParseFuzzStrategyName(const std::string& name) {
+  std::string names;
+  for (const Axis& axis : kAxes) {
+    if (name == axis.name) return axis.strategy;
+    names += std::string(names.empty() ? "" : ", ") + axis.name;
+  }
+  return Status::InvalidArgument("unknown strategy '" + name + "' (want " +
+                                 names + ")");
+}
+
+std::vector<FuzzStrategy> AllFuzzStrategies() {
+  std::vector<FuzzStrategy> out;
+  for (const Axis& axis : kAxes) out.push_back(axis.strategy);
+  return out;
+}
+
+std::vector<uint64_t> FuzzCaseSeeds(uint64_t seed, int iterations) {
+  FuzzRng stream(seed);
+  std::vector<uint64_t> out;
+  for (int i = 0; i < iterations; ++i) out.push_back(stream.Next());
+  return out;
+}
 
 CaseRun RunFuzzCase(const FuzzCase& c,
                     const std::vector<FuzzStrategy>& strategies,
@@ -708,105 +556,53 @@ CaseRun RunFuzzCase(const FuzzCase& c,
     return out;
   }
 
-  // The rewrite pipeline's classification is the comparison gate for every
-  // strategy (the same policy as the property sweep): only kAutomatic
-  // conversions carry an equivalence obligation. NeedsAnalyst/refused cases
-  // still exercise the analysis paths but are tallied as skips.
+  // The rewrite pipeline's classification is the comparison gate (the same
+  // policy as the property sweep): only kAutomatic conversions carry an
+  // equivalence obligation, so automatic-only axes skip the rest.
   SupervisorOptions supervisor_options;
   supervisor_options.spans = spans;  // self-rooted "convert <name>" tree
-  Result<ConversionSupervisor> supervisor = ConversionSupervisor::Create(
-      prepared->source_schema, prepared->plan.View(), supervisor_options);
-  if (!supervisor.ok()) {
-    out.setup = supervisor.status();
-    return out;
-  }
-  Result<PipelineOutcome> outcome =
-      supervisor->ConvertProgram(prepared->program);
+  Result<PipelineOutcome> outcome = Convert(*prepared, supervisor_options);
   if (!outcome.ok()) {
     out.setup = outcome.status();
     return out;
   }
 
-  Result<Database> source_db = LoadSource(*prepared);
-  if (!source_db.ok()) {
-    out.setup = source_db.status();
-    return out;
-  }
-  Interpreter source_interp(&*source_db, prepared->script);
   SpanContext source_span;
   if (spans != nullptr) source_span = spans->StartRoot("source_run", 1);
-  Result<RunResult> source_run =
-      source_interp.Run(prepared->program, source_span);
+  LegRun source = RunLeg(Leg::kSource, *prepared, prepared->program,
+                         {.span = source_span});
   source_span.End();
-  if (!source_run.ok()) {
-    out.setup = Status(source_run.status().code(),
-                       "source run: " + source_run.status().message());
+  if (!source.status.ok()) {
+    out.setup = Status(source.status.code(),
+                       "source run: " + source.status.message());
     return out;
   }
-  const Trace& source_trace = source_run->trace;
 
   bool automatic = outcome->classification == Convertibility::kAutomatic &&
                    outcome->accepted;
   uint64_t sequence = 2;  // 0 = conversion (supervisor root), 1 = source run
   for (FuzzStrategy strategy : strategies) {
-    SpanContext strategy_span;
+    const Axis& axis = AxisOf(strategy);
+    SpanContext span;
     if (spans != nullptr) {
-      strategy_span = spans->StartRoot(
-          std::string("strategy ") + FuzzStrategyName(strategy), sequence);
+      span = spans->StartRoot(std::string("strategy ") + axis.name, sequence);
     }
     ++sequence;
-    if (strategy == FuzzStrategy::kIndexDiff) {
-      // Trace invisibility binds unconditionally, so the index axis is not
-      // gated on the classification: the source leg always runs, and the
-      // converted legs join in when the conversion was automatic.
-      out.strategies.push_back(RunIndexDiff(
-          *prepared, automatic ? &outcome->conversion.converted : nullptr));
-    } else if (strategy == FuzzStrategy::kColumnarDiff) {
-      // Like the index axis, the bulk engine's equivalence contract binds
-      // unconditionally: the translate leg always runs, and the converted
-      // program legs join in when the conversion was automatic.
-      out.strategies.push_back(RunColumnarDiff(
-          *prepared, automatic ? &outcome->conversion.converted : nullptr));
-    } else if (strategy == FuzzStrategy::kCacheDiff) {
-      // The memo's serve-identical-artifacts contract also binds
-      // unconditionally: refusals are memoized, analyst cases must miss.
-      out.strategies.push_back(RunCacheDiff(*prepared));
-    } else if (!automatic) {
-      out.strategies.push_back(
-          Skip(strategy,
-               std::string("classification: ") +
-                   ConvertibilityName(outcome->classification)));
-    } else {
-      switch (strategy) {
-        case FuzzStrategy::kRewrite:
-          out.strategies.push_back(
-              RunRewrite(*prepared, source_trace, *outcome, strategy_span));
-          break;
-        case FuzzStrategy::kEmulation:
-          out.strategies.push_back(
-              RunEmulation(*prepared, source_trace, strategy_span));
-          break;
-        case FuzzStrategy::kBridge:
-          out.strategies.push_back(RunBridge(*prepared, source_trace));
-          break;
-        case FuzzStrategy::kOptimizerDiff:
-          out.strategies.push_back(RunOptimizerDiff(*prepared, strategy_span));
-          break;
-        case FuzzStrategy::kIndexDiff:
-        case FuzzStrategy::kColumnarDiff:
-        case FuzzStrategy::kCacheDiff:
-          break;  // handled above, before the classification gate
-      }
+    StrategyRun run =
+        axis.automatic_only && !automatic
+            ? Skip(std::string("classification: ") +
+                   ConvertibilityName(outcome->classification))
+            : axis.check({*prepared, *outcome, source.trace, automatic, span});
+    run.strategy = strategy;
+    if (span.enabled()) {
+      span.SetAttribute(
+          "outcome", run.outcome == StrategyOutcome::kEquivalent ? "equivalent"
+                     : run.outcome == StrategyOutcome::kSkipped  ? "skipped"
+                                                                 : "divergent");
+      if (!run.detail.empty()) span.SetAttribute("detail", run.detail);
     }
-    if (strategy_span.enabled()) {
-      const StrategyRun& s = out.strategies.back();
-      strategy_span.SetAttribute(
-          "outcome", s.outcome == StrategyOutcome::kEquivalent ? "equivalent"
-                     : s.outcome == StrategyOutcome::kSkipped  ? "skipped"
-                                                               : "divergent");
-      if (!s.detail.empty()) strategy_span.SetAttribute("detail", s.detail);
-    }
-    strategy_span.End();
+    span.End();
+    out.strategies.push_back(std::move(run));
   }
   return out;
 }
@@ -840,11 +636,11 @@ std::string FuzzReport::ToText() const {
 
 FuzzReport RunFuzz(const FuzzOptions& options) {
   FuzzReport report;
+  std::vector<uint64_t> case_seeds =
+      FuzzCaseSeeds(options.seed, options.iterations);
   for (int i = 0; i < options.iterations; ++i) {
     ++report.iterations;
-    // Per-case seed derived by one splitmix64 step so consecutive base
-    // seeds do not produce overlapping case streams.
-    uint64_t case_seed = FuzzRng(options.seed + static_cast<uint64_t>(i)).Next();
+    uint64_t case_seed = case_seeds[static_cast<size_t>(i)];
     FuzzCase c = GenerateFuzzCase(case_seed);
     CaseRun run = RunFuzzCase(c, options.strategies);
     if (!run.setup.ok()) {

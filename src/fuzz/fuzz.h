@@ -55,46 +55,20 @@ class FuzzRng {
   uint64_t state_;
 };
 
-/// The three conversion strategies of paper section 2.1.2 the harness
-/// cross-checks against the source program's behaviour, plus a
-/// pipeline-internal axis that diffs the optimizer against itself.
+/// The differential axes: the three conversion strategies of paper section
+/// 2.1.2, each diffed against the source program's run, plus five axes that
+/// each hold one component to its own contract. Each axis is documented once,
+/// next to its entry in the axis table in driver.cc; `--strategy` takes the
+/// names FuzzStrategyName returns.
 enum class FuzzStrategy {
-  kRewrite,    ///< full pipeline conversion (ConversionSupervisor)
-  kEmulation,  ///< per-call DML emulation (DmlEmulator)
-  kBridge,     ///< bridge program over reconstructed source view
-  /// Converts with the optimizer off, then optimizes cost-based (with
-  /// statistics collected from the translated database) and diffs the
-  /// two converted programs' traces: any optimizer rewrite that changes
-  /// observable behaviour is a bug regardless of what the source did.
-  kOptimizerDiff,
-  /// Repeats every program run — the source program, plus the rewrite,
-  /// emulation and bridge runs when the conversion is automatic — with
-  /// engine index probing disabled and diffs each pair of traces. The
-  /// oracle is the index subsystem's trace-invisibility contract
-  /// (engine/database.h): indexes change access costs, never observable
-  /// behaviour. The source leg runs even for non-automatic cases.
-  kIndexDiff,
-  /// Translates the database under the columnar bulk copy engine and
-  /// under the record-at-a-time engine and requires identical results:
-  /// the translated dumps must be byte-identical (or both engines must
-  /// fail with the same status), and when the conversion is automatic
-  /// the rewrite, emulation and bridge runs are repeated under each
-  /// engine and their traces diffed. The oracle is the bulk engine's
-  /// equivalence contract (restructure/data_copy.h). The translate leg
-  /// runs even for non-automatic cases.
-  kColumnarDiff,
-  /// Converts the program through a shared conversion memo
-  /// (convert/template_cache.h) twice — cold, then warm, then warm again
-  /// under a different program name and once more with provenance
-  /// pre-stamped on the source — and diffs every leg against the uncached
-  /// pipeline: classification, generated source, provenance listings and
-  /// the converted programs' execution traces must be identical, the warm
-  /// legs must actually hit for analyst-free outcomes, and traced
-  /// conversions must produce byte-identical span forests with the cache
-  /// configured (the memo bypasses itself under tracing). The oracle is
-  /// the cache's serve-identical-artifacts contract; it runs even for
-  /// non-automatic cases (refusals are memoized too).
-  kCacheDiff,
+  kRewrite,        ///< "rewrite": full pipeline conversion
+  kEmulation,      ///< "emulation": per-call DML emulation (DmlEmulator)
+  kBridge,         ///< "bridge": bridge program over a rebuilt source view
+  kOptimizerDiff,  ///< "optimizer": optimized vs. unoptimized conversion
+  kIndexDiff,      ///< "index": index probing on vs. off
+  kColumnarDiff,   ///< "columnar": bulk vs. record-at-a-time copy engine
+  kCacheDiff,      ///< "cache": memoized vs. uncached pipeline
+  kTraceDiff,      ///< "trace": traced vs. untraced conversion and runs
 };
 
 const char* FuzzStrategyName(FuzzStrategy s);
@@ -172,6 +146,11 @@ struct CaseRun {
 /// program, script all derived from it).
 FuzzCase GenerateFuzzCase(uint64_t seed);
 
+/// The per-case seeds of a sweep from base `seed`: the first `iterations`
+/// draws of one FuzzRng(seed) stream, so different base seeds fuzz
+/// different cases.
+std::vector<uint64_t> FuzzCaseSeeds(uint64_t seed, int iterations);
+
 /// Runs one case through every requested strategy. With a non-null
 /// `spans` collector the run emits span trees — one root for the rewrite
 /// pipeline conversion, one for the source run, one per strategy — with
@@ -211,7 +190,9 @@ struct FuzzOptions {
   /// Stop after this many divergent cases (each is shrunk, which is slow).
   int max_failures = 5;
   /// Capture a span tree for every divergent case by re-running the
-  /// failing strategy with a collector (FuzzFailure::span_tree).
+  /// failing strategy with a collector (FuzzFailure::span_tree). Passing
+  /// cases are not traced; the trace axis checks that tracing never
+  /// changes outcomes.
   bool trace = false;
 };
 

@@ -2,11 +2,18 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "emulate/emulator.h"
+#include "engine/textio.h"
 #include "gtest/gtest.h"
+#include "lang/parser.h"
+#include "restructure/plan_parser.h"
+#include "restructure/transformation.h"
+#include "schema/ddl_parser.h"
 
 namespace dbpc {
 namespace {
@@ -51,6 +58,18 @@ TEST(FuzzGeneratorTest, GeneratedArtifactsSetUpCleanly) {
     CaseRun run = RunFuzzCase(c, AllFuzzStrategies());
     EXPECT_TRUE(run.setup.ok()) << "seed " << seed << ": " << run.setup;
   }
+}
+
+TEST(FuzzStrategyTest, EveryAxisNameRoundTrips) {
+  std::vector<FuzzStrategy> all = AllFuzzStrategies();
+  EXPECT_EQ(all.size(), 8u);
+  for (FuzzStrategy s : all) {
+    Result<FuzzStrategy> back = ParseFuzzStrategyName(FuzzStrategyName(s));
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(*back, s);
+  }
+  EXPECT_EQ(*ParseFuzzStrategyName("trace"), FuzzStrategy::kTraceDiff);
+  EXPECT_FALSE(ParseFuzzStrategyName("bogus").ok());
 }
 
 TEST(FuzzReproTest, RoundTripsThroughText) {
@@ -131,6 +150,18 @@ TEST(FuzzLoopTest, SmallRunIsClean) {
   EXPECT_GT(report.equivalent, 0);
 }
 
+// Each base seed draws its cases from its own stream: neighbouring base
+// seeds must not re-run each other's cases shifted by one iteration.
+TEST(FuzzLoopTest, ConsecutiveBaseSeedsFuzzDisjointCases) {
+  std::vector<uint64_t> one = FuzzCaseSeeds(1, 1000);
+  std::vector<uint64_t> two = FuzzCaseSeeds(2, 1000);
+  std::set<uint64_t> seen(one.begin(), one.end());
+  EXPECT_EQ(seen.size(), 1000u);
+  int shared = 0;
+  for (uint64_t seed : two) shared += static_cast<int>(seen.count(seed));
+  EXPECT_EQ(shared, 0);
+}
+
 // Every checked-in regression repro must replay green: these cases each
 // exposed a real conversion bug (silent output reorders, source-schema
 // sort keys surviving into target programs, unhandled lexer overflow)
@@ -148,6 +179,34 @@ TEST(FuzzRegressionCorpusTest, CheckedInReprosReplay) {
     ++replayed;
   }
   EXPECT_GE(replayed, 1) << "no .repro files found in " << dir;
+}
+
+// The emulator refuses a mapping that needs an analyst, as the pipeline
+// does. These two repros were filed for emulated runs that printed
+// records in another order than the source run.
+TEST(FuzzRegressionCorpusTest, EmulatorRefusesAnalystLevelMappings) {
+  for (const char* name : {"seed-8913683988413733765.repro",
+                           "seed-15006406392148470312.repro"}) {
+    Result<FuzzRepro> repro = ParseRepro(
+        ReadFile(std::filesystem::path(DBPC_FUZZ_CORPUS_DIR) / name));
+    ASSERT_TRUE(repro.ok()) << name << ": " << repro.status();
+    Schema schema = std::move(ParseDdl(repro->c.ddl)).value();
+    RestructuringPlan plan = std::move(ParsePlan(repro->c.plan)).value();
+    Program program = std::move(ParseProgram(repro->c.program)).value();
+    Database source =
+        std::move(LoadDatabaseText(schema, repro->c.data)).value();
+    Database target =
+        std::move(TranslateDatabase(source, plan.View())).value();
+    DmlEmulator emulator =
+        std::move(DmlEmulator::Create(schema, plan.View())).value();
+    IoScript script;
+    script.terminal_input = repro->c.terminal_input;
+    Result<DmlEmulator::EmulationRun> run =
+        emulator.Run(program, &target, script);
+    ASSERT_FALSE(run.ok()) << name << " ran:\n" << run->run.trace.ToString();
+    EXPECT_EQ(run.status().code(), StatusCode::kNeedsAnalyst)
+        << name << ": " << run.status();
+  }
 }
 
 }  // namespace

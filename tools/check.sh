@@ -1,9 +1,10 @@
 #!/bin/sh
-# One-command verification: the tier-1 build + test suite, the fuzz
-# sweeps, bench smokes and a dbpcd end-to-end smoke, then the concurrency-
-# sensitive service and daemon tests again under ThreadSanitizer, the
-# storage, engine, data-copy and wire-facing tests under AddressSanitizer,
-# and the wire-facing tests under UndefinedBehaviorSanitizer.
+# One-command verification: the tier-1 build + test suite, one fuzz sweep
+# over every differential axis plus the regression corpus, bench smokes and
+# a dbpcd end-to-end smoke, then the concurrency-sensitive service and
+# daemon tests again under ThreadSanitizer, the storage, engine, data-copy
+# and wire-facing tests under AddressSanitizer, and the wire-facing tests
+# under UndefinedBehaviorSanitizer.
 #
 #   tools/check.sh [jobs]
 #
@@ -35,23 +36,14 @@ if [ -n "$BAD_INCLUDES" ]; then
 fi
 echo "facade lint ok"
 
-echo "== fuzz: fixed-seed differential sweep + regression corpus =="
+# One sweep runs every axis (rewrite, emulation, bridge, optimizer, index,
+# columnar, cache, trace) on each case; see the axis table in
+# src/fuzz/driver.cc.
+echo "== fuzz: fixed-seed sweep over every axis + regression corpus =="
 ./build/tools/dbpc_fuzz --seed 1 --iterations 200
 for repro in samples/fuzz-regressions/*.repro; do
   ./build/tools/dbpc_fuzz --replay "$repro"
 done
-
-echo "== fuzz: optimizer-differential sweep (optimized vs. unoptimized) =="
-./build/tools/dbpc_fuzz --diff-optimizer --seed 1 --iterations 200
-
-echo "== fuzz: index-differential sweep (indexes on vs. off) =="
-./build/tools/dbpc_fuzz --diff-index --seed 1 --iterations 200
-
-echo "== fuzz: columnar-differential sweep (bulk vs. record copy engine) =="
-./build/tools/dbpc_fuzz --diff-columnar --seed 1 --iterations 200
-
-echo "== fuzz: cache-differential sweep (memoized vs. uncached pipeline) =="
-./build/tools/dbpc_fuzz --diff-cache --seed 1 --iterations 200
 
 echo "== observability: span trace + provenance on the company example =="
 TRACE_DIR="$(mktemp -d)"
@@ -62,9 +54,6 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
   > "$TRACE_DIR/provenance.txt"
 python3 tools/validate_trace.py "$TRACE_DIR/trace.json" \
   "$TRACE_DIR/provenance.txt"
-
-echo "== fuzz: traced sweep (tracing must not change outcomes) =="
-./build/tools/dbpc_fuzz --seed 1 --iterations 200 --trace
 
 echo "== bench: cost-based optimizer sanity (E10 --smoke) =="
 ./build/bench/bench_optimizer --smoke

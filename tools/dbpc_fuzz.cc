@@ -1,40 +1,28 @@
 // dbpc_fuzz — differential conversion fuzzer.
 //
-// Generates random (schema, restructuring plan, database, program) cases,
-// converts each via the three strategies of paper section 2.1.2 — program
-// rewrite, DML emulation, bridge — replays source and converted runs under
-// identical I/O scripts, and diffs the observable traces (the paper's
-// section 1.1 "runs equivalently" check). A fourth axis ("optimizer")
-// diffs each converted program optimized vs. unoptimized, checking the
-// cost-based optimizer's no-behaviour-change contract; a fifth ("index")
-// repeats every run with engine index probing disabled, checking the
-// index subsystem's trace-invisibility contract; a sixth ("columnar")
-// repeats data translation and the converted runs under the columnar
-// bulk copy engine vs. record-at-a-time, checking the bulk engine's
-// equivalence contract; a seventh ("cache") converts every program
-// cold-and-warm through a shared conversion memo and requires artifacts,
-// span forests and execution traces byte-identical to the uncached
-// pipeline's. Divergences are shrunk to minimal repros.
+// Generates random (schema, restructuring plan, database, program) cases
+// and checks each against every differential axis: the three conversion
+// strategies of paper section 2.1.2 — program rewrite, DML emulation,
+// bridge — replayed under identical I/O scripts and diffed against the
+// source program's trace (the section 1.1 "runs equivalently" check), plus
+// the optimizer, index, columnar, cache and trace axes, which each hold one
+// component to its own contract. Each axis is documented once, in the axis
+// table of src/fuzz/driver.cc. Divergences are shrunk to minimal repros.
 //
 //   dbpc_fuzz --seed 1 --iterations 500
 //   dbpc_fuzz --strategy bridge --no-shrink --iterations 50
-//   dbpc_fuzz --diff-optimizer --iterations 500
-//   dbpc_fuzz --diff-index --iterations 500
-//   dbpc_fuzz --diff-columnar --iterations 500
 //   dbpc_fuzz --diff-cache --iterations 500
 //   dbpc_fuzz --replay samples/fuzz-regressions/*.repro
 //   dbpc_fuzz --print-case 42
 //
 // Flags:
-//   --seed <n>          base seed (default 1); per-iteration case seeds
-//                       derive deterministically from it
+//   --seed <n>          base seed (default 1); the case seeds are the first
+//                       draws of one stream seeded with it
 //   --iterations <n>    cases to run (default 100)
 //   --strategy <name>   rewrite | emulation | bridge | optimizer | index |
-//                       columnar | cache; repeatable, default all seven
-//   --diff-optimizer    shorthand for --strategy optimizer alone
-//   --diff-index        shorthand for --strategy index alone
-//   --diff-columnar     shorthand for --strategy columnar alone
-//   --diff-cache        shorthand for --strategy cache alone
+//                       columnar | cache | trace; repeatable, default all
+//   --diff-optimizer, --diff-index, --diff-columnar, --diff-cache
+//                       shorthand for that --strategy alone
 //   --shrink / --no-shrink
 //                       minimize failing cases (default on)
 //   --max-failures <n>  stop after this many divergences (default 5)
@@ -49,12 +37,16 @@
 //                       the event index plus a two-line context window
 //                       around it from both traces
 //
-// Exit status: 0 when the run is clean (all repros hold / no divergences
-// and no setup errors), 1 otherwise, 2 on usage errors.
+// Counts and seeds are unsigned decimal integers; anything else is a usage
+// error. Exit status: 0 when the run is clean (all repros hold / no
+// divergences and no setup errors), 1 otherwise, 2 on usage errors.
 
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -69,13 +61,23 @@ int Usage() {
   std::fprintf(stderr,
                "usage: dbpc_fuzz [--seed <n>] [--iterations <n>] "
                "[--strategy rewrite|emulation|bridge|optimizer|index|"
-               "columnar|cache]... "
+               "columnar|cache|trace]... "
                "[--diff-optimizer] [--diff-index] [--diff-columnar] "
                "[--diff-cache] "
                "[--shrink|"
                "--no-shrink] [--max-failures <n>] [--write-repros <dir>] "
                "[--trace] [--replay <file>]... [--print-case <seed>]\n");
   return 2;
+}
+
+/// An unsigned decimal integer no larger than `max`: no sign, no blanks
+/// and no trailing characters.
+std::optional<uint64_t> ParseCount(const char* text, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -148,14 +150,27 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The value of a count flag; nullopt (a usage error) when it is
+    // missing or malformed.
+    auto count = [&](uint64_t max) -> std::optional<uint64_t> {
+      const char* v = next();
+      if (v == nullptr) return std::nullopt;
+      std::optional<uint64_t> n = ParseCount(v, max);
+      if (!n) {
+        std::fprintf(stderr,
+                     "dbpc_fuzz: %s wants an unsigned integer, got '%s'\n",
+                     arg.c_str(), v);
+      }
+      return n;
+    };
     if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.seed = std::strtoull(v, nullptr, 10);
+      std::optional<uint64_t> v = count(UINT64_MAX);
+      if (!v) return Usage();
+      options.seed = *v;
     } else if (arg == "--iterations") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.iterations = std::atoi(v);
+      std::optional<uint64_t> v = count(INT_MAX);
+      if (!v) return Usage();
+      options.iterations = static_cast<int>(*v);
     } else if (arg == "--strategy") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -178,9 +193,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (arg == "--max-failures") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.max_failures = std::atoi(v);
+      std::optional<uint64_t> v = count(INT_MAX);
+      if (!v) return Usage();
+      options.max_failures = static_cast<int>(*v);
     } else if (arg == "--write-repros") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -192,10 +207,10 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       replay_paths.push_back(v);
     } else if (arg == "--print-case") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
+      std::optional<uint64_t> v = count(UINT64_MAX);
+      if (!v) return Usage();
       print_case = true;
-      print_seed = std::strtoull(v, nullptr, 10);
+      print_seed = *v;
     } else {
       return Usage();
     }
