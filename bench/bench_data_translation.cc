@@ -19,6 +19,11 @@
 //   bench_data_translation --smoke   2e4-record arm with a conservative
 //                                    >= 2x gate and dump verify (CI)
 //
+// Both modes also translate a company database through Figure 4.4's
+// INTRODUCE RECORD on each engine (about 1e5 records under --scale, 2.6e3
+// under --smoke): the step's hook stores DEPT records mid-copy, so the arm
+// requires identical dumps and prints both times, with no speed gate.
+//
 // Exit status for --scale/--smoke: 0 when verification and the speedup
 // gate pass, 1 otherwise.
 
@@ -285,7 +290,38 @@ void ExtentArm(size_t rows) {
       scanned, rows / append_s, rows / scan_s, table.ByteSize());
 }
 
+/// Figure 4.4 arm: `divisions` x 64 employees through INTRODUCE RECORD on
+/// both engines. Prints a JSON row; returns whether the dumps are equal.
+bool Figure44Arm(int divisions) {
+  Database source = bench::FilledCompany(divisions, 64);
+  TransformationPtr step = MakeIntroduceIntermediate(bench::Figure44Params());
+  double seconds[2];
+  std::string dumps[2];
+  const DataCopyEngine engines[2] = {DataCopyEngine::kRecordAtATime,
+                                     DataCopyEngine::kColumnarBulk};
+  for (int i = 0; i < 2; ++i) {
+    ScopedDataCopyEngine scoped(engines[i]);
+    auto start = std::chrono::steady_clock::now();
+    Database target = bench::Value(TranslateDatabase(source, {step.get()}),
+                                   "introduce record");
+    auto stop = std::chrono::steady_clock::now();
+    seconds[i] = std::chrono::duration<double>(stop - start).count();
+    dumps[i] = bench::Value(DumpDatabaseText(target), "dump target");
+  }
+  const bool verified = dumps[0] == dumps[1];
+  std::printf(
+      "{\"arm\": \"figure44\", \"records\": %zu, \"wall_us_record\": %.0f, "
+      "\"wall_us_bulk\": %.0f, \"verified\": %s}\n",
+      source.RecordCount(), seconds[0] * 1e6, seconds[1] * 1e6,
+      verified ? "true" : "false");
+  if (!verified) {
+    std::fprintf(stderr, "FAIL: Figure 4.4 dumps differ between engines\n");
+  }
+  return verified;
+}
+
 int RunScale(bool smoke) {
+  if (!Figure44Arm(smoke ? 40 : 1540)) return 1;
   if (smoke) {
     // CI gate: small arm, conservative threshold, always verified.
     double speedup = ScaleCopyArm(20000, /*verify=*/true);

@@ -398,11 +398,8 @@ void Database::RebuildIndexes() {
           }
         }
         for (const ConstraintDef* c : uniques) {
-          Result<std::optional<std::string>> key =
-              UniqueKeyOf(*c, rec->fields);
-          if (key.ok() && (*key).has_value()) {
-            unique_index_[c->name][**key] = id;
-          }
+          std::optional<std::string> key = UniqueKeyOf(*c, rec->fields);
+          if (key.has_value()) unique_index_[c->name][*key] = id;
         }
       }
     }
@@ -418,10 +415,8 @@ void Database::RebuildIndexes() {
           !EqualsIgnoreCase(c.record, rec->type)) {
         continue;
       }
-      Result<std::optional<std::string>> key = UniqueKeyOf(c, rec->fields);
-      if (key.ok() && (*key).has_value()) {
-        unique_index_[c.name][**key] = id;
-      }
+      std::optional<std::string> key = UniqueKeyOf(c, rec->fields);
+      if (key.has_value()) unique_index_[c.name][*key] = id;
     }
   }
 }
@@ -487,20 +482,20 @@ Result<std::vector<RecordId>> Database::BulkLoad(const ExtentTable& table) {
   return ids;
 }
 
-Result<std::optional<std::string>> Database::UniqueKeyOf(
-    const ConstraintDef& c, const FieldMap& fields) const {
+std::optional<std::string> UniqueKeyOf(const ConstraintDef& c,
+                                       const FieldMap& fields) {
   std::string key;
   for (const std::string& f : c.fields) {
     auto it = fields.find(ToUpper(f));
     if (it == fields.end() || it->second.is_null()) {
       // Null key components exempt the record from uniqueness, the
       // standard interpretation for partial keys.
-      return std::optional<std::string>();
+      return std::nullopt;
     }
     key += it->second.ToLiteral();
     key += "\x1f";
   }
-  return std::optional<std::string>(std::move(key));
+  return key;
 }
 
 Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
@@ -602,8 +597,7 @@ Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
     }
     if (c.kind == ConstraintKind::kUniqueness &&
         EqualsIgnoreCase(c.record, type->name)) {
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> key,
-                            UniqueKeyOf(c, fields));
+      std::optional<std::string> key = UniqueKeyOf(c, fields);
       if (key.has_value() && unique_index_[c.name].count(*key) > 0) {
         return Status::ConstraintViolation("duplicate key for " + c.name +
                                            " on " + type->name);
@@ -613,8 +607,9 @@ Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
       const SetDef* set = schema_.FindSet(c.set_name);
       for (const PlannedLink& link : links) {
         if (link.set == set) {
-          DBPC_RETURN_IF_ERROR(
-              CheckCardinality(c, *set, link.owner, fields, /*exclude=*/0));
+          DBPC_RETURN_IF_ERROR(CheckCardinality(store_, c, *set, link.owner,
+                                                fields, /*exclude=*/0,
+                                                &stats_));
         }
       }
     }
@@ -639,8 +634,7 @@ Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
   for (const ConstraintDef& c : schema_.constraints()) {
     if (c.kind == ConstraintKind::kUniqueness &&
         EqualsIgnoreCase(c.record, type->name)) {
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> key,
-                            UniqueKeyOf(c, rec->fields));
+      std::optional<std::string> key = UniqueKeyOf(c, rec->fields);
       if (key.has_value()) unique_index_[c.name][*key] = id;
     }
   }
@@ -700,12 +694,12 @@ Result<size_t> Database::SortedPosition(const SetDef& set, RecordId owner,
                            new_fields, &stats_);
 }
 
-Status Database::CheckCardinality(const ConstraintDef& c, const SetDef& set,
-                                  RecordId owner,
-                                  const FieldMap& new_member_fields,
-                                  RecordId exclude_member) const {
+Status CheckCardinality(const Store& store, const ConstraintDef& c,
+                        const SetDef& set, RecordId owner,
+                        const FieldMap& new_member_fields,
+                        RecordId exclude_member, OpStats* stats) {
   const std::vector<RecordId>& members =
-      store_.Members(ToUpper(set.name), owner);
+      store.Members(ToUpper(set.name), owner);
   int64_t count = 0;
   if (c.group_field.empty()) {
     count = static_cast<int64_t>(members.size());
@@ -723,8 +717,8 @@ Status Database::CheckCardinality(const ConstraintDef& c, const SetDef& set,
     Value group = it == new_member_fields.end() ? Value() : it->second;
     for (RecordId m : members) {
       if (m == exclude_member) continue;
-      ++stats_.members_scanned;
-      const StoredRecord* rec = store_.Get(m);
+      if (stats != nullptr) ++stats->members_scanned;
+      const StoredRecord* rec = store.Get(m);
       auto mit = rec->fields.find(gf);
       Value mv = mit == rec->fields.end() ? Value() : mit->second;
       if (mv == group) ++count;
@@ -783,8 +777,7 @@ Status Database::EraseRecord(RecordId id) {
   for (const ConstraintDef& c : schema_.constraints()) {
     if (c.kind == ConstraintKind::kUniqueness &&
         EqualsIgnoreCase(c.record, type)) {
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> key,
-                            UniqueKeyOf(c, current->fields));
+      std::optional<std::string> key = UniqueKeyOf(c, current->fields);
       if (key.has_value()) unique_index_[c.name].erase(*key);
     }
   }
@@ -830,10 +823,8 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
     }
     if (c.kind == ConstraintKind::kUniqueness &&
         EqualsIgnoreCase(c.record, rec->type)) {
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> old_key,
-                            UniqueKeyOf(c, rec->fields));
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> new_key,
-                            UniqueKeyOf(c, next));
+      std::optional<std::string> old_key = UniqueKeyOf(c, rec->fields);
+      std::optional<std::string> new_key = UniqueKeyOf(c, next);
       if (new_key.has_value() && new_key != old_key) {
         auto& index = unique_index_[c.name];
         auto hit = index.find(*new_key);
@@ -852,8 +843,8 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
         if (changed != canonical.end()) {
           RecordId owner = store_.OwnerOf(ToUpper(set->name), id);
           if (owner != 0) {
-            DBPC_RETURN_IF_ERROR(
-                CheckCardinality(c, *set, owner, next, /*exclude=*/id));
+            DBPC_RETURN_IF_ERROR(CheckCardinality(
+                store_, c, *set, owner, next, /*exclude=*/id, &stats_));
           }
         }
       }
@@ -896,8 +887,7 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
   for (const ConstraintDef& c : schema_.constraints()) {
     if (c.kind == ConstraintKind::kUniqueness &&
         EqualsIgnoreCase(c.record, rec->type)) {
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> old_key,
-                            UniqueKeyOf(c, rec->fields));
+      std::optional<std::string> old_key = UniqueKeyOf(c, rec->fields);
       if (old_key.has_value()) unique_index_[c.name].erase(*old_key);
     }
   }
@@ -908,8 +898,7 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
   for (const ConstraintDef& c : schema_.constraints()) {
     if (c.kind == ConstraintKind::kUniqueness &&
         EqualsIgnoreCase(c.record, rec->type)) {
-      DBPC_ASSIGN_OR_RETURN(std::optional<std::string> new_key,
-                            UniqueKeyOf(c, rec->fields));
+      std::optional<std::string> new_key = UniqueKeyOf(c, rec->fields);
       if (new_key.has_value()) unique_index_[c.name][*new_key] = id;
     }
   }
@@ -948,8 +937,9 @@ Status Database::Connect(const std::string& set_name, RecordId member,
   for (const ConstraintDef& c : schema_.constraints()) {
     if (c.kind == ConstraintKind::kCardinalityLimit &&
         EqualsIgnoreCase(c.set_name, set->name)) {
-      DBPC_RETURN_IF_ERROR(
-          CheckCardinality(c, *set, owner, mrec->fields, /*exclude=*/0));
+      DBPC_RETURN_IF_ERROR(CheckCardinality(store_, c, *set, owner,
+                                            mrec->fields, /*exclude=*/0,
+                                            &stats_));
     }
   }
   return ConnectInternal(*set, member, owner);

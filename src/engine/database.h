@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,6 +51,23 @@ Result<size_t> SortedSetPosition(const Store& store, const SetDef& set,
                                  const std::vector<RecordId>& members,
                                  RecordId member, const FieldMap* new_fields,
                                  OpStats* stats);
+
+/// Key string of uniqueness constraint `c` for a record with `fields`, or
+/// nullopt when a key component is absent or null: null components exempt
+/// the record from uniqueness.
+std::optional<std::string> UniqueKeyOf(const ConstraintDef& c,
+                                       const FieldMap& fields);
+
+/// Whether one more member with `new_member_fields` fits cardinality
+/// constraint `c` on `owner`'s occurrence of `set`; `exclude_member`
+/// (nonzero when a linked member is re-checked) is not counted. A grouped
+/// limit charges `stats` (when non-null) one members_scanned per member
+/// compared. The engine and the bulk copy engine share this and
+/// UniqueKeyOf.
+Status CheckCardinality(const Store& store, const ConstraintDef& c,
+                        const SetDef& set, RecordId owner,
+                        const FieldMap& new_member_fields,
+                        RecordId exclude_member, OpStats* stats);
 
 /// Knobs for the engine's internal access-path indexes. Indexes are
 /// trace-invisible: whenever a probe could change an observable outcome
@@ -251,10 +269,6 @@ class Database {
     uint64_t unusable = 0;
   };
 
-  /// Key string for a uniqueness constraint, or nullopt if any field null.
-  Result<std::optional<std::string>> UniqueKeyOf(
-      const ConstraintDef& c, const FieldMap& fields) const;
-
   /// Registers eager secondary indexes (set key fields, multi-field
   /// uniqueness components) and uniqueness probe paths at creation.
   void RegisterAutoIndexes();
@@ -290,10 +304,6 @@ class Database {
   Result<size_t> SortedPosition(const SetDef& set, RecordId owner,
                                 RecordId member,
                                 const FieldMap* new_fields = nullptr) const;
-
-  Status CheckCardinality(const ConstraintDef& c, const SetDef& set,
-                          RecordId owner, const FieldMap& new_member_fields,
-                          RecordId exclude_member) const;
 
   Status ConnectInternal(const SetDef& set, RecordId member, RecordId owner);
 

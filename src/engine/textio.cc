@@ -1,39 +1,41 @@
 #include "engine/textio.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <set>
+#include <optional>
+#include <queue>
+#include <unordered_map>
 
 #include "common/lexer.h"
 #include "common/string_util.h"
 
 namespace dbpc {
 
-namespace {
-
-/// Record types ordered so set owners precede members (load connects
-/// AUTOMATIC memberships as it stores).
-Result<std::vector<std::string>> TopoTypes(const Schema& schema) {
+Result<std::vector<std::string>> OwnerFirstTypes(const Schema& schema) {
   std::vector<std::string> types;
   std::map<std::string, int> indegree;
   for (const RecordTypeDef& r : schema.record_types()) {
     types.push_back(ToUpper(r.name));
     indegree[ToUpper(r.name)] = 0;
   }
-  std::multimap<std::string, std::string> edges;
+  std::multimap<std::string, std::string> edges;  // owner -> member
   for (const SetDef& s : schema.sets()) {
+    // Self-sets impose no order between types.
     if (s.system_owned() || EqualsIgnoreCase(s.owner, s.member)) continue;
     edges.emplace(ToUpper(s.owner), ToUpper(s.member));
     ++indegree[ToUpper(s.member)];
   }
   std::vector<std::string> order;
   std::vector<std::string> ready;
+  ready.reserve(types.size());
   for (const std::string& t : types) {
     if (indegree[t] == 0) ready.push_back(t);
   }
-  while (!ready.empty()) {
-    std::string t = ready.front();
-    ready.erase(ready.begin());
+  // Kahn's algorithm with an index cursor: erasing the front of `ready`
+  // per pop is quadratic on wide schemas.
+  for (size_t next = 0; next < ready.size(); ++next) {
+    const std::string t = ready[next];  // by value: push_back reallocates
     order.push_back(t);
     auto [lo, hi] = edges.equal_range(t);
     for (auto it = lo; it != hi; ++it) {
@@ -41,75 +43,89 @@ Result<std::vector<std::string>> TopoTypes(const Schema& schema) {
     }
   }
   if (order.size() != types.size()) {
-    return Status::Unsupported("cyclic owner/member graph");
+    return Status::Unsupported("cyclic owner/member graph in schema " +
+                               schema.name());
   }
   return order;
 }
 
-/// Records of `type` in an order that preserves chronological-set member
-/// sequences on reload. A record may belong to several chronological sets
-/// (e.g. OFFERING in both CRS-OFF and SEM-OFF), and the loader replays
-/// every membership in dump order, so the emitted order must be consistent
-/// with every occurrence's member sequence at once: a topological sort over
-/// the successor edges of each occurrence, storage order breaking ties.
-std::vector<RecordId> OrderedRecords(const Database& db,
-                                     const std::string& type) {
-  std::vector<const SetDef*> chronos;
-  for (const SetDef* s : db.schema().SetsWithMember(type)) {
-    if (s->ordering == SetOrdering::kChronological) chronos.push_back(s);
-  }
+std::vector<RecordId> ChronologicalOrder(
+    const Database& db, const std::string& type,
+    const std::vector<const SetDef*>& sets) {
   std::vector<RecordId> all = db.AllOfType(type);
-  if (chronos.empty()) return all;
-  std::map<RecordId, std::vector<RecordId>> successors;
-  std::map<RecordId, int> indegree;
-  for (RecordId id : all) indegree[id] = 0;
-  for (const SetDef* chrono : chronos) {
+  std::vector<const std::vector<RecordId>*> occurrences;
+  bool ascending = true;
+  for (const SetDef* set : sets) {
+    const std::string name = ToUpper(set->name);
     std::vector<RecordId> owners =
-        chrono->system_owned()
-            ? std::vector<RecordId>{kSystemOwner}
-            : db.AllOfType(ToUpper(chrono->owner));
+        set->system_owned() ? std::vector<RecordId>{kSystemOwner}
+                            : db.AllOfType(ToUpper(set->owner));
     for (RecordId owner : owners) {
-      std::vector<RecordId> members = db.Members(ToUpper(chrono->name), owner);
-      for (size_t i = 1; i < members.size(); ++i) {
-        successors[members[i - 1]].push_back(members[i]);
-        ++indegree[members[i]];
-      }
+      const std::vector<RecordId>& members = db.MembersRef(name, owner);
+      if (members.size() < 2) continue;
+      occurrences.push_back(&members);
+      ascending = ascending && std::is_sorted(members.begin(), members.end());
     }
+  }
+  // Every edge then points to a higher id, so id order is the sort below.
+  if (ascending) return all;
+  std::unordered_map<RecordId, size_t> position;  // id -> index in `all`
+  position.reserve(all.size());
+  for (size_t i = 0; i < all.size(); ++i) position.emplace(all[i], i);
+  std::vector<std::vector<size_t>> successors(all.size());
+  std::vector<size_t> indegree(all.size(), 0);
+  for (const std::vector<RecordId>* members : occurrences) {
+    // A member of another type (a raw-store link) orders nothing.
+    std::optional<size_t> prev;
+    for (RecordId m : *members) {
+      auto it = position.find(m);
+      if (it == position.end()) continue;
+      if (prev.has_value()) {
+        successors[*prev].push_back(it->second);
+        ++indegree[it->second];
+      }
+      prev = it->second;
+    }
+  }
+  // Kahn's algorithm, smallest id first: `all` ascends, so index order is
+  // id order.
+  std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>> ready;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (indegree[i] == 0) ready.push(i);
   }
   std::vector<RecordId> ordered;
-  std::vector<RecordId> ready;
-  for (RecordId id : all) {
-    if (indegree[id] == 0) ready.push_back(id);
-  }
+  ordered.reserve(all.size());
   while (!ready.empty()) {
-    auto it = std::min_element(ready.begin(), ready.end());
-    RecordId id = *it;
-    ready.erase(it);
-    ordered.push_back(id);
-    for (RecordId next : successors[id]) {
-      if (--indegree[next] == 0) ready.push_back(next);
+    size_t i = ready.top();
+    ready.pop();
+    ordered.push_back(all[i]);
+    for (size_t next : successors[i]) {
+      if (--indegree[next] == 0) ready.push(next);
     }
   }
-  if (ordered.size() != all.size()) {
-    // Conflicting chronological orders (only reachable through MANUAL
-    // connects made in opposing sequences); no single emission order can
-    // reproduce both, so fall back to storage order for the remainder.
-    std::set<RecordId> seen(ordered.begin(), ordered.end());
-    for (RecordId id : all) {
-      if (!seen.count(id)) ordered.push_back(id);
-    }
+  // Conflicting chronological orders (only reachable through MANUAL
+  // connects made in opposing sequences) leave records whose predecessors
+  // never all came out; no single emission order can reproduce both, so
+  // those follow in storage order.
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (indegree[i] > 0) ordered.push_back(all[i]);
   }
   return ordered;
 }
 
-}  // namespace
-
 Result<std::string> DumpDatabaseText(const Database& db) {
   std::string out = "DATABASE " + db.schema().name() + ".\n";
-  DBPC_ASSIGN_OR_RETURN(std::vector<std::string> types, TopoTypes(db.schema()));
+  DBPC_ASSIGN_OR_RETURN(std::vector<std::string> types,
+                        OwnerFirstTypes(db.schema()));
   std::map<RecordId, size_t> seq;
   for (const std::string& type : types) {
-    for (RecordId id : OrderedRecords(db, type)) {
+    std::vector<const SetDef*> chronological;
+    for (const SetDef* s : db.schema().SetsWithMember(type)) {
+      if (s->ordering == SetOrdering::kChronological) {
+        chronological.push_back(s);
+      }
+    }
+    for (RecordId id : ChronologicalOrder(db, type, chronological)) {
       size_t n = seq.size() + 1;
       seq[id] = n;
       const StoredRecord* rec = db.raw_store().Get(id);

@@ -2,10 +2,30 @@
 #define DBPC_ENGINE_TEXTIO_H_
 
 #include <string>
+#include <vector>
 
 #include "engine/database.h"
 
 namespace dbpc {
+
+/// The record types of `schema`, set owners before their members (self-sets
+/// aside): the order in which a load or a copy can connect each record as
+/// it stores it. Fails with kUnsupported when the owner/member graph is
+/// cyclic.
+Result<std::vector<std::string>> OwnerFirstTypes(const Schema& schema);
+
+/// The records of `type` in an order that reproduces the member sequence
+/// of every occurrence of `sets` (sets with member `type`) when the records
+/// are appended to them in that order: a topological sort over each
+/// occurrence's successor edges, the smallest id first among the ready
+/// records, in O(n log n). When every occurrence already lists its members
+/// in ascending id order, the type's ids come back as they are. Conflicting
+/// sequences leave the records they cannot place to storage order. The
+/// dumper passes a type's chronological sets; the copier passes the source
+/// sets whose target counterpart is chronological.
+std::vector<RecordId> ChronologicalOrder(
+    const Database& db, const std::string& type,
+    const std::vector<const SetDef*>& sets);
 
 /// Serializes a database instance to a line-oriented text form (the 1979
 /// equivalent of an unload tape):

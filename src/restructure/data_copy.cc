@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "engine/textio.h"
 #include "storage/extent.h"
 
 namespace dbpc {
@@ -15,59 +16,17 @@ namespace {
 
 thread_local DataCopyEngine g_data_copy_engine = DataCopyEngine::kColumnarBulk;
 
-/// Record types of `schema` ordered so that set owners precede members.
-Result<std::vector<std::string>> TopoOrderTypes(const Schema& schema) {
-  std::vector<std::string> types;
-  std::map<std::string, int> indegree;
-  for (const RecordTypeDef& r : schema.record_types()) {
-    types.push_back(ToUpper(r.name));
-    indegree[ToUpper(r.name)] = 0;
-  }
-  std::multimap<std::string, std::string> edges;  // owner -> member
-  for (const SetDef& s : schema.sets()) {
-    if (s.system_owned()) continue;
-    std::string owner = ToUpper(s.owner);
-    std::string member = ToUpper(s.member);
-    if (owner == member) continue;  // self-sets: no ordering constraint
-    edges.emplace(owner, member);
-    ++indegree[member];
-  }
-  std::vector<std::string> order;
-  std::vector<std::string> ready;
-  ready.reserve(types.size());
-  for (const std::string& t : types) {
-    if (indegree[t] == 0) ready.push_back(t);
-  }
-  // Kahn's algorithm with an index cursor: erasing the front of `ready`
-  // per pop is quadratic on wide schemas.
-  for (size_t next = 0; next < ready.size(); ++next) {
-    const std::string t = ready[next];  // by value: push_back reallocates
-    order.push_back(t);
-    auto [lo, hi] = edges.equal_range(t);
-    for (auto it = lo; it != hi; ++it) {
-      if (--indegree[it->second] == 0) ready.push_back(it->second);
-    }
-  }
-  if (order.size() != types.size()) {
-    return Status::Unsupported("cyclic owner/member graph in schema " +
-                               schema.name());
-  }
-  return order;
-}
-
-/// Orders the records of `type` so that members of chronological target
-/// sets are visited in source occurrence order (target append order then
-/// reproduces it).
-std::vector<RecordId> OrderedRecordsOfType(const Database& source,
-                                           const std::string& type,
-                                           const CopySpec& spec,
-                                           const Schema& target_schema) {
-  // Find a source set with this member whose target counterpart is
-  // chronological; occurrence order must be preserved for it.
-  const SetDef* ordering_set = nullptr;
+/// The records of source `type` in emission order: the source sets whose
+/// target counterpart is chronological keep their member sequences, since
+/// target appends reproduce them. Self-sets cannot drive the emission
+/// order: owners must still precede members, which id order already
+/// guarantees for them.
+std::vector<RecordId> EmissionOrder(const Database& source,
+                                    const std::string& type,
+                                    const CopySpec& spec,
+                                    const Schema& target_schema) {
+  std::vector<const SetDef*> sets;
   for (const SetDef* s : source.schema().SetsWithMember(type)) {
-    // Self-sets cannot drive the emission order: owners must still precede
-    // members, which the id order already guarantees for them.
     if (EqualsIgnoreCase(s->owner, s->member)) continue;
     std::optional<std::string> mapped =
         spec.map_set ? spec.map_set(ToUpper(s->name))
@@ -76,38 +35,10 @@ std::vector<RecordId> OrderedRecordsOfType(const Database& source,
     const SetDef* target_set = target_schema.FindSet(*mapped);
     if (target_set != nullptr &&
         target_set->ordering == SetOrdering::kChronological) {
-      ordering_set = s;
-      break;
+      sets.push_back(s);
     }
   }
-  std::vector<RecordId> all = source.AllOfType(type);
-  if (ordering_set == nullptr) return all;
-
-  std::vector<RecordId> ordered;
-  ordered.reserve(all.size());
-  std::vector<RecordId> owners;
-  if (ordering_set->system_owned()) {
-    owners.push_back(kSystemOwner);
-  } else {
-    owners = source.AllOfType(ToUpper(ordering_set->owner));
-  }
-  const std::string set_upper = ToUpper(ordering_set->name);
-  for (RecordId owner : owners) {
-    for (RecordId m : source.Members(set_upper, owner)) {
-      ordered.push_back(m);
-    }
-  }
-  // Bulk-loaded occurrence order usually IS id order; when it is, the
-  // leftover pass below (and its hash set over every id) has nothing to do.
-  if (ordered.size() == all.size() &&
-      std::equal(ordered.begin(), ordered.end(), all.begin())) {
-    return ordered;
-  }
-  std::unordered_set<RecordId> seen(ordered.begin(), ordered.end());
-  for (RecordId id : all) {
-    if (seen.count(id) == 0) ordered.push_back(id);
-  }
-  return ordered;
+  return ChronologicalOrder(source, type, sets);
 }
 
 /// Memoized spec.map_field for one source type: the hook is an opaque
@@ -181,57 +112,6 @@ Status WrapTranslate(RecordId id, const std::string& type, const Status& s) {
                               " of " + type + ": " + s.message());
 }
 
-// --- raw-store replicas of the StoreRecord helpers -----------------------
-//
-// The bulk engine materializes staged rows through the raw store so that
-// index maintenance can be deferred to one RebuildIndexes() at the end.
-// These replicas must produce the same decisions and error strings as
-// their Database counterparts (Database::CheckCardinality etc.); sorted
-// placement is shared outright (SortedSetPosition). The --diff-columnar
-// fuzz axis holds the two engines to identical results.
-
-Status CheckCardinalityRaw(const Store& store, const ConstraintDef& c,
-                           const SetDef& set, RecordId owner,
-                           const FieldMap& new_member_fields) {
-  const std::vector<RecordId>& members =
-      store.Members(ToUpper(set.name), owner);
-  int64_t count = 0;
-  if (c.group_field.empty()) {
-    count = static_cast<int64_t>(members.size());
-  } else {
-    std::string gf = ToUpper(c.group_field);
-    auto it = new_member_fields.find(gf);
-    Value group = it == new_member_fields.end() ? Value() : it->second;
-    for (RecordId m : members) {
-      const StoredRecord* rec = store.Get(m);
-      auto mit = rec->fields.find(gf);
-      Value mv = mit == rec->fields.end() ? Value() : mit->second;
-      if (mv == group) ++count;
-    }
-  }
-  if (count + 1 > c.limit) {
-    return Status::ConstraintViolation(
-        "cardinality limit " + std::to_string(c.limit) + " of " + c.name +
-        " on set " + set.name + " exceeded");
-  }
-  return Status::OK();
-}
-
-std::optional<std::string> UniqueKeyOfRaw(const ConstraintDef& c,
-                                          const FieldMap& fields) {
-  std::string key;
-  for (const std::string& f : c.fields) {
-    auto it = fields.find(ToUpper(f));
-    if (it == fields.end() || it->second.is_null()) {
-      // Null key components exempt the record from uniqueness.
-      return std::nullopt;
-    }
-    key += it->second.ToLiteral();
-    key += "\x1f";
-  }
-  return key;
-}
-
 // --- record-at-a-time engine ---------------------------------------------
 
 Result<std::map<RecordId, RecordId>> CopyDatabaseRecords(
@@ -239,14 +119,32 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseRecords(
   std::map<RecordId, RecordId> id_map;
   std::vector<DeferredLink> deferred_links;
   DBPC_ASSIGN_OR_RETURN(std::vector<std::string> order,
-                        TopoOrderTypes(source.schema()));
+                        OwnerFirstTypes(source.schema()));
   for (const std::string& type : order) {
     std::optional<std::string> target_type =
         spec.map_type ? spec.map_type(type) : std::optional<std::string>(type);
     if (!target_type.has_value()) continue;
     FieldMapper mapper(spec, type);
-    for (RecordId id :
-         OrderedRecordsOfType(source, type, spec, target->schema())) {
+    std::vector<RecordId> ordered =
+        EmissionOrder(source, type, spec, target->schema());
+    // The extra_connects pass (data_copy.h): every hook call of the type
+    // before its first record lands, up to the first hook error.
+    std::vector<std::map<std::string, RecordId>> extra_links;
+    Status hook_error;
+    if (spec.extra_connects) {
+      for (RecordId id : ordered) {
+        Result<std::map<std::string, RecordId>> links =
+            spec.extra_connects(source, id, type, id_map, target);
+        if (!links.ok()) {
+          hook_error = links.status();
+          ordered.resize(extra_links.size());
+          break;
+        }
+        extra_links.push_back(std::move(*links));
+      }
+    }
+    for (size_t i = 0; i < ordered.size(); ++i) {
+      const RecordId id = ordered[i];
       const StoredRecord* rec = source.raw_store().Get(id);
       StoreRequest request;
       request.type = *target_type;
@@ -285,9 +183,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseRecords(
         request.connect[ToUpper(*target_set)] = mapped_owner->second;
       }
       if (spec.extra_connects) {
-        DBPC_ASSIGN_OR_RETURN(
-            auto extra, spec.extra_connects(source, id, type, id_map, target));
-        for (const auto& [set, owner] : extra) {
+        for (const auto& [set, owner] : extra_links[i]) {
           request.connect[ToUpper(set)] = owner;
         }
       }
@@ -297,6 +193,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseRecords(
       }
       id_map[id] = *new_id;
     }
+    DBPC_RETURN_IF_ERROR(hook_error);
   }
   DBPC_RETURN_IF_ERROR(
       ConnectDeferredLinks(source, target, spec, id_map, deferred_links));
@@ -313,6 +210,10 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseRecords(
 /// and replaced by one RebuildIndexes() over the finished store — for a
 /// copy-only workload the two leave identical index state.
 ///
+/// extra_connects runs first for each row as it is staged, so helper
+/// records land before the type's table is adopted, as in the record
+/// engine's hook pass.
+///
 /// Error discipline: staging stops at the first failing row; rows staged
 /// before it are materialized (any materialization error on them takes
 /// precedence, as it would have fired first record-at-a-time), then the
@@ -326,7 +227,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
   std::unordered_map<RecordId, RecordId> id_lookup;
   std::vector<DeferredLink> deferred_links;
   DBPC_ASSIGN_OR_RETURN(std::vector<std::string> order,
-                        TopoOrderTypes(source.schema()));
+                        OwnerFirstTypes(source.schema()));
   // Source types owning at least one set: only their ids are ever probed
   // through id_lookup (plan_requests), so only they are mirrored there.
   std::unordered_set<std::string> owner_types;
@@ -335,9 +236,13 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     owner_types.insert(ToUpper(s.owner));
   }
   const Schema& target_schema = target->schema();
-  bool loaded_any = false;
+  bool indexes_stale = false;  // rows adopted since the last rebuild
+  auto rebuild_indexes = [&] {
+    if (indexes_stale) target->RebuildIndexes();
+    indexes_stale = false;
+  };
   auto fail = [&](const Status& s) -> Status {
-    if (loaded_any) target->RebuildIndexes();
+    rebuild_indexes();
     return s;
   };
   for (const std::string& type : order) {
@@ -345,7 +250,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
         spec.map_type ? spec.map_type(type) : std::optional<std::string>(type);
     if (!target_type.has_value()) continue;
     std::vector<RecordId> ordered =
-        OrderedRecordsOfType(source, type, spec, target_schema);
+        EmissionOrder(source, type, spec, target_schema);
     if (ordered.empty()) continue;
     const RecordTypeDef* def = target_schema.FindRecordType(*target_type);
     if (def == nullptr) {
@@ -355,14 +260,35 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     }
     const std::string target_type_upper = ToUpper(def->name);
     const bool mirror_ids = owner_types.count(type) > 0;
+    // The hook may store helper records, and StoreRecord reads the
+    // target's indexes: bring them up to date with the rows adopted so far.
+    if (spec.extra_connects) rebuild_indexes();
 
     // Hoisted per-type tables: column layout, source-set mappings,
     // target-set link plan inputs, and the constraints that apply.
+    // Where a field lands: dropped, a column, a virtual field (an error if
+    // present) or an unknown name (an error).
+    enum class FieldKind { kDrop, kColumn, kVirtual, kUnknown };
+    struct FieldAction {
+      FieldKind kind = FieldKind::kDrop;
+      int index = -1;      // column ordinal, or ordinal among virtual fields
+      std::string target;  // target name (for the unknown-field error)
+    };
     std::vector<std::string> col_names;
     std::vector<FieldType> col_types;
+    std::unordered_map<std::string, FieldAction> target_fields;  // by name
+    int n_virtual = 0;
     for (const FieldDef& f : def->fields) {
-      if (f.is_virtual) continue;
-      col_names.push_back(ToUpper(f.name));
+      const std::string name = ToUpper(f.name);
+      if (f.is_virtual) {
+        target_fields.emplace(name, FieldAction{FieldKind::kVirtual,
+                                                n_virtual++, ""});
+        continue;
+      }
+      target_fields.emplace(
+          name, FieldAction{FieldKind::kColumn,
+                            static_cast<int>(col_names.size()), ""});
+      col_names.push_back(name);
       col_types.push_back(f.type);
     }
     FieldMapper mapper(spec, type);
@@ -439,19 +365,6 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
         constraints.push_back({&c, target_schema.FindSet(c.set_name)});
       }
     }
-    // Uniqueness state StoreRecord would have read from unique_index_,
-    // seeded from target records that already exist and grown as staged
-    // rows land.
-    std::unordered_map<std::string, std::unordered_set<std::string>>
-        unique_seen;
-    for (const ConstraintDef* c : uniques) {
-      auto& seen = unique_seen[c->name];
-      for (RecordId id : target->raw_store().OfType(target_type_upper)) {
-        const StoredRecord* rec = target->raw_store().Get(id);
-        std::optional<std::string> key = UniqueKeyOfRaw(*c, rec->fields);
-        if (key.has_value()) seen.insert(std::move(*key));
-      }
-    }
 
     // --- staging: mapped fields + planned links per row -------------------
     struct PlannedLink {
@@ -464,8 +377,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     // [link_ends[r-1], link_ends[r]) of staged_links. One growing vector
     // instead of a heap allocation per row. A row that fails mid-plan may
     // leave a dangling tail past link_ends.back(); it is never read (the
-    // staging loop stops, and only fast_fallback restarts it — after
-    // clearing both vectors).
+    // staging loop stops there).
     std::vector<PlannedLink> staged_links;
     std::vector<size_t> link_ends;
     staged_source.reserve(ordered.size());
@@ -478,14 +390,39 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     // last-wins map keyed by target set name. Member types belong to a
     // handful of sets, so a per-row std::map is pure allocator traffic.
     struct RequestedLink {
-      const std::string* set_upper;  // points into source_sets
+      const std::string* set_upper;  // into source_sets or hook_links
       RecordId owner;
       bool consumed;
     };
     std::vector<RequestedLink> requested;
+    // The row's extra_connects result, set names upper-cased.
+    std::map<std::string, RecordId> hook_links;
+    auto request = [&](const std::string& set_upper, RecordId owner) {
+      for (RequestedLink& req : requested) {
+        if (*req.set_upper == set_upper) {
+          req.owner = owner;  // later requests win, like map assign
+          return;
+        }
+      }
+      requested.push_back({&set_upper, owner, false});
+    };
 
-    // Link planning shared by both staging loops. Each returns false when
-    // the row (and the staging loop) must stop with `pending` set.
+    // Row staging steps shared by both staging loops. Each returns false
+    // when the row (and the staging loop) must stop with `pending` set.
+    // call_hook comes first in a row: the record engine runs every hook
+    // call of the type before any of the type's records is stored.
+    auto call_hook = [&](RecordId id) {
+      if (!spec.extra_connects) return true;
+      Result<std::map<std::string, RecordId>> links =
+          spec.extra_connects(source, id, type, id_map, target);
+      if (!links.ok()) {
+        pending = links.status();
+        return false;
+      }
+      hook_links.clear();
+      for (const auto& [set, owner] : *links) hook_links[ToUpper(set)] = owner;
+      return true;
+    };
     auto plan_requests = [&](RecordId id) {
       requested.clear();
       // Eager connection requests (self-sets defer, exactly like the
@@ -523,17 +460,10 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
           info.last_owner = owner;
           info.last_mapped = mapped;
         }
-        bool overwrote = false;
-        for (RequestedLink& req : requested) {
-          if (*req.set_upper == info.target_upper) {
-            req.owner = mapped;  // later source sets win, like map assign
-            overwrote = true;
-            break;
-          }
-        }
-        if (!overwrote) {
-          requested.push_back({&info.target_upper, mapped, false});
-        }
+        request(info.target_upper, mapped);
+      }
+      for (const auto& [set_upper, owner] : hook_links) {
+        request(set_upper, owner);
       }
       return true;
     };
@@ -608,60 +538,29 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
       return true;
     };
 
-    // --- columnar fast staging -------------------------------------------
-    // When no extra_fields hook is present and every field of every source
-    // record is a declared actual field, rows are staged straight from the
-    // source records into the extent columns — no per-row FieldMaps, no
-    // Value copies for already-typed fields. The per-source-field action
-    // (drop / column / virtual / unknown) is the per-row decision of the
-    // generic loop below, resolved once per type. A record that does not
-    // fit the static shape (an undeclared field, e.g. loaded through
-    // mutable_store) makes the whole type fall back to the generic loop so
-    // errors and results stay byte-identical.
-    enum class SrcKind { kDrop, kColumn, kVirtual, kUnknown };
-    struct SrcFieldAction {
-      SrcKind kind = SrcKind::kDrop;
-      int index = -1;      // column ordinal, or ordinal among virtual fields
-      std::string target;  // mapped target name (for the unknown error)
+    // --- field choice ------------------------------------------------------
+    // StoreRecord's field walk decides per target name: a source field's
+    // action is resolved (and memoized) the first time the type shows it,
+    // an extra_fields entry's by its upper-cased name, overriding a source
+    // field mapped onto that name.
+    auto target_action = [&](const std::string& target_upper) {
+      auto it = target_fields.find(target_upper);
+      return it != target_fields.end()
+                 ? it->second
+                 : FieldAction{FieldKind::kUnknown, -1, target_upper};
     };
-    const RecordTypeDef* src_def = source.schema().FindRecordType(type);
-    bool fast_eligible = spec.extra_fields == nullptr && src_def != nullptr;
-    std::unordered_map<std::string, SrcFieldAction> src_actions;
-    int n_virtual = 0;
-    if (fast_eligible) {
-      std::unordered_map<std::string, int> target_lookup;  // col or -(v+2)
-      int col = 0;
-      for (const FieldDef& f : def->fields) {
-        if (f.is_virtual) {
-          target_lookup.emplace(ToUpper(f.name), -(n_virtual + 2));
-          ++n_virtual;
-        } else {
-          target_lookup.emplace(ToUpper(f.name), col++);
-        }
+    std::unordered_map<std::string, FieldAction> source_actions;
+    auto source_action = [&](const std::string& field) -> const FieldAction& {
+      auto it = source_actions.find(field);
+      if (it == source_actions.end()) {
+        const std::optional<std::string>& mapped = mapper.Map(field);
+        it = source_actions
+                 .emplace(field, mapped.has_value() ? target_action(*mapped)
+                                                    : FieldAction())
+                 .first;
       }
-      for (const FieldDef& f : src_def->fields) {
-        if (f.is_virtual) continue;
-        std::string s_upper = ToUpper(f.name);
-        const std::optional<std::string>& mapped = mapper.Map(s_upper);
-        SrcFieldAction action;
-        if (mapped.has_value()) {
-          auto it = target_lookup.find(*mapped);
-          if (it == target_lookup.end()) {
-            action.kind = SrcKind::kUnknown;
-            action.target = *mapped;
-          } else if (it->second <= -2) {
-            action.kind = SrcKind::kVirtual;
-            action.index = -(it->second) - 2;
-          } else {
-            action.kind = SrcKind::kColumn;
-            action.index = it->second;
-          }
-        }
-        src_actions.emplace(std::move(s_upper), std::move(action));
-      }
-    }
-    bool fast_fallback = false;
-    const size_t deferred_baseline = deferred_links.size();
+      return it->second;
+    };
 
     // --- columnar-source staging ------------------------------------------
     // When the source rows of this type are themselves a fully columnar,
@@ -669,29 +568,19 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     // maps onto a target column of the same declared type, rows are staged
     // extent-to-extent with typed appends: the source is never promoted,
     // and no per-row FieldMap or Value round trip exists. Anything
-    // irregular — heap or vacated rows of the type, emission order
-    // differing from id order, a column that needs coercion, carries type
-    // exceptions, or maps onto a virtual/unknown field — takes the
-    // record-read fast loop below instead, which handles every case
-    // byte-identically (promotion keeps record reads faithful).
+    // irregular — an extra_fields hook, heap or vacated rows of the type,
+    // emission order differing from id order, a column that needs
+    // coercion, carries type exceptions, or maps onto a virtual/unknown
+    // field — takes the record-read loop below instead, which handles every
+    // case byte-identically (promotion keeps record reads faithful).
     struct RunPlan {
       Store::ColumnarRun run;
       std::vector<int> src_of_target;  // target col -> source col (or -1)
     };
     std::vector<RunPlan> run_plans;
-    bool columnar_src = false;
-    if (fast_eligible) {
-      columnar_src = true;
-      for (const auto& [name, action] : src_actions) {
-        (void)name;
-        if (action.kind != SrcKind::kDrop && action.kind != SrcKind::kColumn) {
-          columnar_src = false;  // per-row virtual/unknown-field errors
-          break;
-        }
-      }
-      std::vector<Store::ColumnarRun> runs =
-          columnar_src ? source.raw_store().ColumnarRuns(type)
-                       : std::vector<Store::ColumnarRun>();
+    bool columnar_src = spec.extra_fields == nullptr;
+    if (columnar_src) {
+      std::vector<Store::ColumnarRun> runs = source.raw_store().ColumnarRuns(type);
       if (runs.empty()) columnar_src = false;
       size_t columnar_rows = 0;
       for (const Store::ColumnarRun& run : runs) {
@@ -714,14 +603,14 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
                  run.table->field_names()[static_cast<size_t>(b)];
         });
         for (int c : by_name) {
-          auto it = src_actions.find(
-              run.table->field_names()[static_cast<size_t>(c)]);
-          if (it == src_actions.end()) {  // column unknown to the source def
-            columnar_src = false;
+          const FieldAction& action =
+              source_action(run.table->field_names()[static_cast<size_t>(c)]);
+          if (action.kind == FieldKind::kDrop) continue;
+          if (action.kind != FieldKind::kColumn) {
+            columnar_src = false;  // per-row virtual/unknown-field errors
             break;
           }
-          if (it->second.kind != SrcKind::kColumn) continue;
-          const size_t target_col = static_cast<size_t>(it->second.index);
+          const size_t target_col = static_cast<size_t>(action.index);
           if (run.table->field_types()[static_cast<size_t>(c)] !=
               col_types[target_col]) {
             columnar_src = false;  // would need per-value coercion
@@ -731,7 +620,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
         }
         if (!columnar_src) break;
         // A mapped column whose extent holds type exceptions needs Value
-        // reads (and can fail coercion mid-row); leave it to the fallback.
+        // reads (and can fail coercion mid-row); leave it to record reads.
         for (const Extent& extent : run.table->extents()) {
           for (int src : plan.src_of_target) {
             if (src >= 0 &&
@@ -779,9 +668,10 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
           for (size_t er = 0; er < extent_rows; ++er, ++row) {
             const RecordId id =
                 plan.run.first_id + static_cast<RecordId>(row);
-            // Field errors are statically impossible here, so request and
-            // link planning back-to-back match the record loop's order.
-            if (!plan_requests(id) || !plan_links(id)) {
+            // Field errors are statically impossible here, so the hook,
+            // request and link planning back-to-back match the record
+            // loop's order.
+            if (!call_hook(id) || !plan_requests(id) || !plan_links(id)) {
               stop = true;
               break;
             }
@@ -823,52 +713,60 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
         }
         if (stop) break;
       }
-    } else if (fast_eligible) {
+    } else {
+      // --- record-read staging ---------------------------------------------
+      // StoreRecord's target-state-independent field walk (virtual / coerce
+      // / default / unknown), reading the chosen values in place.
       const Store& src_store = source.raw_store();
       std::vector<const Value*> chosen(col_names.size());
       std::vector<const Value*> ptrs(col_names.size());
       std::vector<char> virt_present(static_cast<size_t>(n_virtual));
       std::vector<Value> scratch;  // coerced temporaries, one row at a time
       scratch.reserve(col_names.size());
+      std::optional<std::string> first_unknown;
+      // Later names overwrite earlier ones, like assignment into a map of
+      // target fields; the first unknown name in that map's order is the
+      // one reported.
+      auto choose = [&](const FieldAction& action, const Value* value) {
+        switch (action.kind) {
+          case FieldKind::kDrop:
+            break;
+          case FieldKind::kColumn:
+            chosen[static_cast<size_t>(action.index)] = value;
+            break;
+          case FieldKind::kVirtual:
+            virt_present[static_cast<size_t>(action.index)] = 1;
+            break;
+          case FieldKind::kUnknown:
+            if (!first_unknown || action.target < *first_unknown) {
+              first_unknown = action.target;
+            }
+            break;
+        }
+      };
       for (RecordId id : ordered) {
+        if (!call_hook(id)) break;
         const StoredRecord* rec = src_store.Get(id);
         std::fill(chosen.begin(), chosen.end(), nullptr);
         std::fill(virt_present.begin(), virt_present.end(), 0);
         scratch.clear();
-        const std::string* first_unknown = nullptr;
-        bool bad_field = false;
+        first_unknown.reset();
         for (const auto& [fname, value] : rec->fields) {
-          auto it = src_actions.find(fname);
-          if (it == src_actions.end()) {
-            bad_field = true;
+          choose(source_action(fname), &value);
+        }
+        FieldMap extra;  // outlives the row: `chosen` may point into it
+        if (spec.extra_fields) {
+          Result<FieldMap> fields = spec.extra_fields(source, id, type);
+          if (!fields.ok()) {
+            pending = fields.status();
             break;
           }
-          const SrcFieldAction& action = it->second;
-          switch (action.kind) {
-            case SrcKind::kDrop:
-              break;
-            case SrcKind::kColumn:
-              // Later source names overwrite earlier ones, exactly like
-              // the incoming-map build of the generic loop.
-              chosen[static_cast<size_t>(action.index)] = &value;
-              break;
-            case SrcKind::kVirtual:
-              virt_present[static_cast<size_t>(action.index)] = 1;
-              break;
-            case SrcKind::kUnknown:
-              if (first_unknown == nullptr || action.target < *first_unknown) {
-                first_unknown = &action.target;
-              }
-              break;
+          extra = std::move(*fields);
+          for (const auto& [fname, value] : extra) {
+            choose(target_action(ToUpper(fname)), &value);
           }
         }
-        if (bad_field) {
-          fast_fallback = true;
-          break;
-        }
         if (!plan_requests(id)) break;
-        // The field walk in declaration order, reading the chosen source
-        // values in place.
         size_t col = 0;
         int vidx = 0;
         bool row_error = false;
@@ -903,7 +801,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
           ++col;
         }
         if (row_error) break;
-        if (first_unknown != nullptr) {
+        if (first_unknown) {
           pending = WrapTranslate(
               id, type,
               Status::InvalidArgument("unknown field " + *first_unknown +
@@ -915,85 +813,19 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
         staged_source.push_back(id);
         link_ends.push_back(staged_links.size());
       }
-      if (fast_fallback) {
-        staged = ExtentTable(target_type_upper, col_names, col_types);
-        staged_source.clear();
-        staged_links.clear();
-        link_ends.clear();
-        deferred_links.resize(deferred_baseline);
-        pending.reset();
-      }
     }
 
-    // --- generic staging --------------------------------------------------
-    if (!fast_eligible || fast_fallback) {
-      std::vector<Value> row(col_names.size());
-      for (RecordId id : ordered) {
-        const StoredRecord* rec = source.raw_store().Get(id);
-        FieldMap incoming;
-        for (const auto& [field, value] : rec->fields) {
-          const std::optional<std::string>& target_field = mapper.Map(field);
-          if (!target_field.has_value()) continue;
-          incoming[*target_field] = value;
-        }
-        if (spec.extra_fields) {
-          Result<FieldMap> extra = spec.extra_fields(source, id, type);
-          if (!extra.ok()) {
-            pending = extra.status();
-            break;
-          }
-          for (auto& [field, value] : *extra) {
-            incoming[ToUpper(field)] = std::move(value);
-          }
-        }
-        if (!plan_requests(id)) break;
-        // StoreRecord's target-state-independent field walk (virtual /
-        // coerce / default / unknown).
-        FieldMap fields;
-        bool row_error = false;
-        for (const FieldDef& f : def->fields) {
-          std::string fname = ToUpper(f.name);
-          auto it = incoming.find(fname);
-          if (f.is_virtual) {
-            if (it != incoming.end()) {
-              pending = WrapTranslate(
-                  id, type,
-                  Status::InvalidArgument("cannot store virtual field " +
-                                          def->name + "." + f.name));
-              row_error = true;
-              break;
-            }
-            continue;
-          }
-          if (it == incoming.end()) {
-            fields[fname] = f.default_value;
-            continue;
-          }
-          Result<Value> coerced = it->second.CoerceTo(f.type);
-          if (!coerced.ok()) {
-            pending = WrapTranslate(id, type, coerced.status());
-            row_error = true;
-            break;
-          }
-          fields[fname] = std::move(*coerced);
-          incoming.erase(it);
-        }
-        if (row_error) break;
-        if (!incoming.empty()) {
-          pending = WrapTranslate(
-              id, type,
-              Status::InvalidArgument("unknown field " +
-                                      incoming.begin()->first +
-                                      " for record type " + def->name));
-          break;
-        }
-        if (!plan_links(id)) break;
-        for (size_t c = 0; c < col_names.size(); ++c) {
-          row[c] = std::move(fields[col_names[c]]);
-        }
-        staged.AppendRow(id, row);
-        staged_source.push_back(id);
-        link_ends.push_back(staged_links.size());
+    // Uniqueness state StoreRecord would have read from unique_index_,
+    // seeded from target records that already exist (the hook's included)
+    // and grown as staged rows land.
+    std::unordered_map<std::string, std::unordered_set<std::string>>
+        unique_seen;
+    for (const ConstraintDef* c : uniques) {
+      auto& seen = unique_seen[c->name];
+      for (RecordId id : target->raw_store().OfType(target_type_upper)) {
+        std::optional<std::string> key =
+            UniqueKeyOf(*c, target->raw_store().Get(id)->fields);
+        if (key.has_value()) seen.insert(std::move(*key));
       }
     }
 
@@ -1010,7 +842,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     Store& store = target->mutable_store();
     const size_t staged_rows = staged_source.size();
     const ExtentTable& adopted = store.AdoptExtents(std::move(staged));
-    if (staged_rows > 0) loaded_any = true;
+    if (staged_rows > 0) indexes_stale = true;
     auto drop_rows_from = [&](size_t first_row) {
       for (size_t rr = first_row; rr < staged_rows; ++rr) {
         (void)store.Remove(adopted.IdAt(rr));
@@ -1019,7 +851,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     // Column positions per constraint, resolved once per type. A nonnull
     // component that is not a stored column can never be satisfied; a
     // uniqueness component that is not a stored column exempts every row
-    // (UniqueKeyOfRaw returns no key for an absent component).
+    // (UniqueKeyOf returns no key for an absent component).
     struct ConstraintCols {
       std::vector<int> cols;
       bool component_missing = false;
@@ -1074,7 +906,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
             key += adopted.At(r, static_cast<size_t>(col)).ToLiteral();
             key += '\x1f';
           }
-          if (null_component) continue;  // UniqueKeyOfRaw: null -> exempt
+          if (null_component) continue;  // UniqueKeyOf: null -> exempt
           if (unique_seen[c.name].count(key) > 0) {
             drop_rows_from(r);
             return fail(WrapTranslate(
@@ -1093,8 +925,10 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
               }
               row_fields_built = true;
             }
-            Status s = CheckCardinalityRaw(store, c, *constraints[ci].set,
-                                           link.owner, row_fields);
+            Status s = CheckCardinality(store, c, *constraints[ci].set,
+                                        link.owner, row_fields,
+                                        /*exclude_member=*/0,
+                                        /*stats=*/nullptr);
             if (!s.ok()) {
               drop_rows_from(r);
               return fail(WrapTranslate(src_id, type, s));
@@ -1144,7 +978,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
     }
     if (pending.has_value()) return fail(*pending);
   }
-  if (loaded_any) target->RebuildIndexes();
+  rebuild_indexes();
   DBPC_RETURN_IF_ERROR(
       ConnectDeferredLinks(source, target, spec, id_map, deferred_links));
   return id_map;
@@ -1159,11 +993,7 @@ void SetDataCopyEngine(DataCopyEngine engine) { g_data_copy_engine = engine; }
 Result<std::map<RecordId, RecordId>> CopyDatabase(const Database& source,
                                                   Database* target,
                                                   const CopySpec& spec) {
-  // extra_connects may create helper records in `target` mid-copy, which
-  // staged bulk materialization cannot interleave with; those specs take
-  // the record-at-a-time engine.
-  if (GetDataCopyEngine() == DataCopyEngine::kColumnarBulk &&
-      !spec.extra_connects) {
+  if (GetDataCopyEngine() == DataCopyEngine::kColumnarBulk) {
     return CopyDatabaseBulk(source, target, spec);
   }
   return CopyDatabaseRecords(source, target, spec);

@@ -16,9 +16,10 @@ namespace dbpc {
 /// owner-before-member order and preserves member ordering for sets that
 /// are chronological in the target.
 ///
-/// Hooks must be pure functions of their arguments: the copier memoizes
-/// map_field per (type, field) and map_set per set, and the bulk engine
-/// may change how often and in which order hooks run.
+/// map_type, map_field, map_set and extra_fields must be pure functions of
+/// their arguments: the copier memoizes map_field per (type, field) and
+/// map_set per set, and the engines differ in how often and in which order
+/// they run them. extra_connects runs on the schedule stated below.
 struct CopySpec {
   /// Target record type name for a source type; nullopt drops the type.
   std::function<std::optional<std::string>(const std::string& type)> map_type;
@@ -37,25 +38,35 @@ struct CopySpec {
                                  const std::string& type)>
       extra_fields;
 
-  /// Additional target set connections. May create helper records in
-  /// `target` (the intermediate-record transformation does). `id_map` maps
-  /// already-copied source records to target ids. Specs with this hook
-  /// always take the record-at-a-time engine: helper-record creation
-  /// cannot interleave with staged bulk materialization.
+  /// Additional target set connections (set name -> target owner id),
+  /// which override a mapped source membership of the same set. May store
+  /// helper records in `target` (the intermediate-record transformation
+  /// does). `id_map` maps the records of every earlier source type to
+  /// target ids. Both engines keep one contract:
+  ///  - For each source type, the copier calls the hook once per record,
+  ///    in emission order, before any record of that type lands. Helper
+  ///    records therefore get the ids just before the type's own records.
+  ///  - The first hook error stops the calls. The records before it are
+  ///    copied as usual, and an error of theirs wins; if none fails, the
+  ///    hook error is returned.
+  /// The bulk engine calls the hook as it stages each row, with the
+  /// target's indexes brought up to date first; the record engine calls
+  /// it in a pass over the type before its first StoreRecord.
   std::function<Result<std::map<std::string, RecordId>>(
       const Database& source, RecordId id, const std::string& type,
       const std::map<RecordId, RecordId>& id_map, Database* target)>
       extra_connects;
 };
 
-/// Which engine CopyDatabase moves records with. The columnar bulk engine
-/// stages each type's rows through extent tables (storage/extent.h),
-/// materializes them through the raw store, and rebuilds the target's
-/// access-path indexes once at the end; the record-at-a-time engine calls
-/// StoreRecord per record with incremental index maintenance. The two
-/// produce identical observable results — the same id map, target
-/// records, set memberships, index state, and error statuses — which the
-/// fuzzer's --diff-columnar axis enforces.
+/// Which engine CopyDatabase moves records with. The columnar bulk engine,
+/// the one production code copies with, stages each type's rows through
+/// extent tables (storage/extent.h), materializes them through the raw
+/// store, and rebuilds the target's access-path indexes once at the end.
+/// The record-at-a-time engine is its reference: it calls StoreRecord per
+/// record with incremental index maintenance. The two produce identical
+/// observable results — the same id map, target records, set memberships,
+/// index state, and error statuses — which the fuzzer's --diff-columnar
+/// axis enforces.
 enum class DataCopyEngine {
   kColumnarBulk,
   kRecordAtATime,
@@ -66,7 +77,8 @@ enum class DataCopyEngine {
 DataCopyEngine GetDataCopyEngine();
 void SetDataCopyEngine(DataCopyEngine engine);
 
-/// RAII engine override for a scope (tests, differential fuzzing).
+/// RAII engine override for a scope: the differential fuzzer, the copy
+/// tests and E14 select the reference engine through it.
 class ScopedDataCopyEngine {
  public:
   explicit ScopedDataCopyEngine(DataCopyEngine engine)

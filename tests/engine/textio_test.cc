@@ -85,6 +85,52 @@ TEST(TextIoTest, TwoChronologicalSetsBothPreserveOrderOnRoundTrip) {
   EXPECT_EQ(loaded->GetField(sem[1], "SECTION-NO")->as_int(), 2);
 }
 
+TEST(TextIoTest, ConflictingChronologicalOrdersKeepEveryRecord) {
+  // M1 and M2 are connected in opposite sequences through two MANUAL
+  // chronological sets: no emission order reproduces both, so the two
+  // follow in storage order after the unconnected M3.
+  Schema schema("CONFLICT");
+  for (const char* name : {"P", "Q", "M"}) {
+    RecordTypeDef r;
+    r.name = name;
+    r.fields.push_back({.name = "N", .type = FieldType::kString});
+    ASSERT_TRUE(schema.AddRecordType(r).ok());
+  }
+  for (const char* owner : {"P", "Q"}) {
+    SetDef s;
+    s.name = std::string(owner) + "-M";
+    s.owner = owner;
+    s.member = "M";
+    s.insertion = InsertionClass::kManual;
+    s.retention = RetentionClass::kOptional;
+    s.ordering = SetOrdering::kChronological;
+    ASSERT_TRUE(schema.AddSet(s).ok());
+  }
+  Database db = *Database::Create(schema);
+  auto store = [&](const char* type, const char* n) {
+    return *db.StoreRecord({type, {{"N", Value::String(n)}}, {}});
+  };
+  RecordId p = store("P", "P");
+  RecordId q = store("Q", "Q");
+  RecordId m1 = store("M", "M1");
+  RecordId m2 = store("M", "M2");
+  (void)store("M", "M3");
+  ASSERT_TRUE(db.Connect("P-M", m2, p).ok());
+  ASSERT_TRUE(db.Connect("P-M", m1, p).ok());
+  ASSERT_TRUE(db.Connect("Q-M", m1, q).ok());
+  ASSERT_TRUE(db.Connect("Q-M", m2, q).ok());
+  std::string dump = *DumpDatabaseText(db);
+  size_t m3 = dump.find("'M3'");
+  size_t m1_at = dump.find("'M1'");
+  size_t m2_at = dump.find("'M2'");
+  ASSERT_NE(m3, std::string::npos);
+  EXPECT_LT(m3, m1_at);
+  EXPECT_LT(m1_at, m2_at);
+  Result<Database> loaded = LoadDatabaseText(schema, dump);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->RecordCount(), db.RecordCount());
+}
+
 TEST(TextIoTest, CyclicOwnerMemberGraphFailsInsteadOfDroppingRecords) {
   Schema schema("CYCLIC");
   RecordTypeDef a;

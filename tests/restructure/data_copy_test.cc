@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/textio.h"
+#include "restructure/transformation.h"
 #include "storage/extent.h"
 #include "testing/fixtures.h"
 
@@ -14,6 +17,9 @@ namespace {
 
 using testing::MakeCompanyDatabase;
 using testing::MakeSchoolDatabase;
+
+constexpr DataCopyEngine kBothEngines[] = {DataCopyEngine::kColumnarBulk,
+                                           DataCopyEngine::kRecordAtATime};
 
 TEST(CopyDatabaseTest, DefaultSpecIsIdentity) {
   Database source = MakeCompanyDatabase();
@@ -553,6 +559,338 @@ TEST(CopyDatabaseTest, PartiallyPromotedColumnarSourceCopiesIdentically) {
     dumps.push_back(*DumpDatabaseText(target));
   }
   EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+// --- one copy path: the extra_connects hook on both engines --------------
+
+IntroduceIntermediateParams Figure44() {
+  IntroduceIntermediateParams p;
+  p.set_name = "DIV-EMP";
+  p.intermediate = "DEPT";
+  p.upper_set = "DIV-DEPT";
+  p.lower_set = "DEPT-EMP";
+  p.group_field = "DEPT-NAME";
+  return p;
+}
+
+/// COMPANY with EMP-NAME unique, the vertical split's precondition.
+Database CompanyWithUniqueNames() {
+  Schema schema = MakeCompanyDatabase().schema();
+  ConstraintDef unique;
+  unique.name = "UNIQ-EMP-NAME";
+  unique.kind = ConstraintKind::kUniqueness;
+  unique.record = "EMP";
+  unique.fields = {"EMP-NAME"};
+  EXPECT_TRUE(schema.AddConstraint(unique).ok());
+  Database db = *Database::Create(schema);
+  testing::FillCompany(&db, 3, 7);
+  return db;
+}
+
+/// The three transformations whose specs carry extra_connects. Each builds
+/// a fresh source, since a record-engine copy promotes columnar sources.
+struct HookCase {
+  const char* name;
+  std::function<Database()> source;
+  std::function<TransformationPtr()> step;
+};
+
+std::vector<HookCase> HookCases() {
+  SplitRecordParams split;
+  split.record = "EMP";
+  split.detail = "EMP-DATA";
+  split.set_name = "EMP-DETAIL";
+  split.link_field = "EMP-NAME";
+  split.moved_fields = {"DEPT-NAME", "AGE"};
+  auto filled = [] {
+    Database db = testing::MakeDatabase(testing::CompanyDdl());
+    testing::FillCompany(&db, 4, 9);
+    return db;
+  };
+  return {
+      {"introduce-intermediate", filled,
+       [] { return MakeIntroduceIntermediate(Figure44()); }},
+      // Staged extent-to-extent while the hook's reads promote the rows.
+      {"introduce-intermediate, columnar source", BuildColumnarSource,
+       [] { return MakeIntroduceIntermediate(Figure44()); }},
+      {"split-record-vertical", CompanyWithUniqueNames,
+       [split] { return MakeSplitRecordVertical(split); }},
+      {"collapse-intermediate",
+       [filled] {
+         TransformationPtr introduce = MakeIntroduceIntermediate(Figure44());
+         return *TranslateDatabase(filled(), {introduce.get()});
+       },
+       [] { return MakeCollapseIntermediate(Figure44()); }},
+  };
+}
+
+Result<Database> TranslateOne(const HookCase& c) {
+  TransformationPtr step = c.step();
+  return TranslateDatabase(c.source(), {step.get()});
+}
+
+TEST(CopyDatabaseTest, HookSpecsLandMemberRowsAsColumnarSegments) {
+  // The default engine is the bulk engine for every spec: the hook no
+  // longer sends a spec to the record-at-a-time engine.
+  for (const HookCase& c : HookCases()) {
+    Result<Database> target = TranslateOne(c);
+    ASSERT_TRUE(target.ok()) << c.name << ": " << target.status();
+    EXPECT_FALSE(target->raw_store().ColumnarRuns("EMP").empty()) << c.name;
+  }
+}
+
+TEST(CopyDatabaseTest, HookSpecsMatchAcrossEngines) {
+  for (const HookCase& c : HookCases()) {
+    std::vector<std::string> dumps;
+    std::vector<std::vector<std::vector<RecordId>>> ids;
+    for (DataCopyEngine engine : kBothEngines) {
+      ScopedDataCopyEngine scoped(engine);
+      Result<Database> target = TranslateOne(c);
+      ASSERT_TRUE(target.ok()) << c.name << ": " << target.status();
+      dumps.push_back(*DumpDatabaseText(*target));
+      // Helper records take the ids just before their type's records.
+      ids.emplace_back();
+      for (const RecordTypeDef& r : target->schema().record_types()) {
+        ids.back().push_back(target->raw_store().OfType(ToUpper(r.name)));
+      }
+    }
+    EXPECT_EQ(dumps[0], dumps[1]) << c.name;
+    EXPECT_EQ(ids[0], ids[1]) << c.name;
+  }
+}
+
+/// A hook that connects nothing and fails on DAVIS, the last EMP copied.
+CopySpec HookFailingOnDavis() {
+  CopySpec spec;
+  spec.extra_connects =
+      [](const Database& src, RecordId id, const std::string& type,
+         const std::map<RecordId, RecordId>&,
+         Database*) -> Result<std::map<std::string, RecordId>> {
+    if (type == "EMP" && src.GetField(id, "EMP-NAME")->as_string() == "DAVIS") {
+      return Status::Internal("hook failure on DAVIS");
+    }
+    return std::map<std::string, RecordId>();
+  };
+  return spec;
+}
+
+TEST(CopyDatabaseTest, EarlierRecordErrorWinsOverHookError) {
+  // ADAMS (copied first) breaks a non-null rule; the hook fails later, on
+  // DAVIS. Both engines report ADAMS.
+  Database source = MakeCompanyDatabase();
+  Schema schema = source.schema();
+  ConstraintDef c;
+  c.name = "AGE-REQUIRED";
+  c.kind = ConstraintKind::kNonNull;
+  c.record = "EMP";
+  c.fields = {"AGE"};
+  ASSERT_TRUE(schema.AddConstraint(c).ok());
+  RecordId machinery = source.SystemMembers("ALL-DIV")[0];
+  RecordId adams = source.Members("DIV-EMP", machinery)[0];
+  ASSERT_TRUE(source.ModifyRecord(adams, {{"AGE", Value::Null()}}).ok());
+  std::vector<std::string> messages;
+  for (DataCopyEngine engine : kBothEngines) {
+    ScopedDataCopyEngine scoped(engine);
+    Database target = *Database::Create(schema);
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, HookFailingOnDavis());
+    ASSERT_FALSE(map.ok());
+    EXPECT_EQ(map.status().code(), StatusCode::kConstraintViolation);
+    EXPECT_NE(map.status().message().find("record " + std::to_string(adams)),
+              std::string::npos)
+        << map.status();
+    messages.push_back(map.status().ToString());
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+}
+
+TEST(CopyDatabaseTest, HookErrorReturnedAfterEarlierRecordsLand) {
+  std::vector<std::string> dumps;
+  for (DataCopyEngine engine : kBothEngines) {
+    ScopedDataCopyEngine scoped(engine);
+    Database source = MakeCompanyDatabase();
+    Database target = *Database::Create(source.schema());
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, HookFailingOnDavis());
+    ASSERT_FALSE(map.ok());
+    EXPECT_EQ(map.status().ToString(),
+              Status::Internal("hook failure on DAVIS").ToString());
+    // Both divisions and the three EMPs before DAVIS were copied.
+    EXPECT_EQ(target.RecordCount(), 5u);
+    dumps.push_back(*DumpDatabaseText(target));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+TEST(CopyDatabaseTest, HookStoresAgainstUpToDateIndexes) {
+  // The hook stores a DIV whose location repeats an already copied one.
+  // The bulk engine adopted the copied DIVs without indexing them, so it
+  // must rebuild the indexes before the hook's StoreRecord checks
+  // uniqueness, as the record engine's incremental indexes would.
+  Schema schema = MakeCompanyDatabase().schema();
+  ConstraintDef unique;
+  unique.name = "UNIQ-DIV-LOC";
+  unique.kind = ConstraintKind::kUniqueness;
+  unique.record = "DIV";
+  unique.fields = {"DIV-LOC"};
+  ASSERT_TRUE(schema.AddConstraint(unique).ok());
+  CopySpec spec;
+  spec.extra_connects =
+      [](const Database&, RecordId, const std::string& type,
+         const std::map<RecordId, RecordId>&,
+         Database* target) -> Result<std::map<std::string, RecordId>> {
+    if (type == "EMP" && target->AllOfType("DIV").size() == 2) {
+      StoreRequest div{"DIV",
+                       {{"DIV-NAME", Value::String("Z")},
+                        {"DIV-LOC", Value::String("EAST")}},
+                       {}};
+      DBPC_RETURN_IF_ERROR(target->StoreRecord(div).status());
+    }
+    return std::map<std::string, RecordId>();
+  };
+  for (DataCopyEngine engine : kBothEngines) {
+    ScopedDataCopyEngine scoped(engine);
+    Database source = MakeCompanyDatabase();
+    Database target = *Database::Create(schema);
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, spec);
+    ASSERT_FALSE(map.ok());
+    EXPECT_EQ(map.status().ToString(),
+              Status::ConstraintViolation(
+                  "duplicate key for UNIQ-DIV-LOC on DIV")
+                  .ToString());
+  }
+}
+
+// --- the record-read staging loop ------------------------------------------
+
+/// MakeCompanyDatabase plus EMP "EVANS", inserted through the raw store with
+/// a field the schema does not declare.
+Database CompanyWithUndeclaredField(const std::string& field) {
+  Database db = MakeCompanyDatabase();
+  RecordId textiles = db.SystemMembers("ALL-DIV")[1];
+  RecordId evans = db.mutable_store().Insert(
+      "EMP", {{"EMP-NAME", Value::String("EVANS")},
+              {"DEPT-NAME", Value::String("SALES")},
+              {"AGE", Value::Int(50)},
+              {field, Value::String("EV")}});
+  EXPECT_TRUE(db.mutable_store().LinkLast("DIV-EMP", textiles, evans).ok());
+  db.RebuildIndexes();
+  return db;
+}
+
+/// Copies `source` with `spec` under both engines into empty COMPANY
+/// databases; returns the status (and the dump, on success) of each.
+std::vector<std::string> CopyUnderBothEngines(
+    const std::function<Database()>& source, const CopySpec& spec) {
+  std::vector<std::string> outcomes;
+  for (DataCopyEngine engine : kBothEngines) {
+    ScopedDataCopyEngine scoped(engine);
+    Database src = source();
+    Database target = testing::MakeDatabase(testing::CompanyDdl());
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(src, &target, spec);
+    outcomes.push_back(map.ok() ? *DumpDatabaseText(target)
+                                : map.status().ToString());
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+  return outcomes;
+}
+
+CopySpec RenameField(const std::string& from, const std::string& to) {
+  CopySpec spec;
+  spec.map_field = [from, to](const std::string&, const std::string& field)
+      -> std::optional<std::string> { return field == from ? to : field; };
+  return spec;
+}
+
+TEST(CopyDatabaseTest, UndeclaredSourceFieldMappedOntoColumn) {
+  // NICKNAME sorts after DEPT-NAME, so its value wins the column.
+  std::vector<std::string> outcomes = CopyUnderBothEngines(
+      [] { return CompanyWithUndeclaredField("NICKNAME"); },
+      RenameField("NICKNAME", "DEPT-NAME"));
+  EXPECT_NE(outcomes[0].find("DEPT-NAME = 'EV'"), std::string::npos)
+      << outcomes[0];
+}
+
+TEST(CopyDatabaseTest, UndeclaredSourceFieldMappedOntoVirtualField) {
+  std::vector<std::string> outcomes = CopyUnderBothEngines(
+      [] { return CompanyWithUndeclaredField("NICKNAME"); },
+      RenameField("NICKNAME", "DIV-NAME"));
+  EXPECT_NE(outcomes[0].find("cannot store virtual field EMP.DIV-NAME"),
+            std::string::npos)
+      << outcomes[0];
+}
+
+TEST(CopyDatabaseTest, UndeclaredSourceFieldMappedOntoNoField) {
+  std::vector<std::string> outcomes = CopyUnderBothEngines(
+      [] { return CompanyWithUndeclaredField("NICKNAME"); }, CopySpec{});
+  EXPECT_NE(outcomes[0].find("unknown field NICKNAME for record type EMP"),
+            std::string::npos)
+      << outcomes[0];
+}
+
+TEST(CopyDatabaseTest, ExtraFieldOverridesMappedField) {
+  CopySpec spec;
+  spec.extra_fields = [](const Database&, RecordId,
+                         const std::string& type) -> Result<FieldMap> {
+    if (type != "EMP") return FieldMap();
+    return FieldMap{{"age", Value::Int(99)}};
+  };
+  std::vector<std::string> outcomes =
+      CopyUnderBothEngines(MakeCompanyDatabase, spec);
+  EXPECT_NE(outcomes[0].find("AGE = 99"), std::string::npos) << outcomes[0];
+  EXPECT_EQ(outcomes[0].find("AGE = 34"), std::string::npos) << outcomes[0];
+}
+
+TEST(CopyDatabaseTest, ExtraFieldAndSourceFieldCompeteForUnknownFieldError) {
+  // The source's undeclared ZETA and the hook's ALPHA are both unknown;
+  // the lexicographically first one is reported.
+  CopySpec spec;
+  spec.extra_fields = [](const Database&, RecordId,
+                         const std::string& type) -> Result<FieldMap> {
+    if (type != "EMP") return FieldMap();
+    return FieldMap{{"ALPHA", Value::Int(1)}};
+  };
+  std::vector<std::string> outcomes = CopyUnderBothEngines(
+      [] { return CompanyWithUndeclaredField("ZETA"); }, spec);
+  EXPECT_NE(outcomes[0].find("unknown field ALPHA for record type EMP"),
+            std::string::npos)
+      << outcomes[0];
+}
+
+// --- shared chronological order --------------------------------------------
+
+std::vector<int64_t> Sections(const Database& db, const std::string& set,
+                              RecordId owner) {
+  std::vector<int64_t> sections;
+  for (RecordId m : db.Members(set, owner)) {
+    sections.push_back(db.GetField(m, "SECTION-NO")->as_int());
+  }
+  return sections;
+}
+
+TEST(CopyDatabaseTest, EveryChronologicalSetKeepsItsOrder) {
+  // OFFERING is a member of two chronological sets. Ordering its copy by
+  // CRS-OFF alone reversed F78's SEM-OFF occurrence.
+  Database source = testing::MakeCrossedSchoolDatabase();
+  for (DataCopyEngine engine : kBothEngines) {
+    ScopedDataCopyEngine scoped(engine);
+    Database target = *Database::Create(source.schema());
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, CopySpec{});
+    ASSERT_TRUE(map.ok()) << map.status();
+    for (const char* owner_type : {"COURSE", "SEMESTER"}) {
+      const char* set = owner_type == std::string("COURSE") ? "CRS-OFF"
+                                                            : "SEM-OFF";
+      for (RecordId owner : source.AllOfType(owner_type)) {
+        EXPECT_EQ(Sections(target, set, map->at(owner)),
+                  Sections(source, set, owner))
+            << set;
+      }
+    }
+    EXPECT_EQ(*DumpDatabaseText(target), *DumpDatabaseText(source));
+  }
 }
 
 }  // namespace

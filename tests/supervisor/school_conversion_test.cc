@@ -8,6 +8,7 @@
 
 #include "equivalence/checker.h"
 #include "lang/parser.h"
+#include "restructure/data_copy.h"
 #include "restructure/plan_parser.h"
 #include "supervisor/supervisor.h"
 #include "testing/fixtures.h"
@@ -115,6 +116,34 @@ TEST_P(SchoolConversionTest, AcceptedConversionsRunEquivalently) {
 INSTANTIATE_TEST_SUITE_P(
     PlansTimesPrograms, SchoolConversionTest,
     ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, 5)));
+
+TEST(SchoolConversionTest, SemesterWalkKeepsOfferingOrder) {
+  // F78's SEM-OFF lists CS202's offering before CS101's, against the order
+  // of their courses: the translated database must keep that order under
+  // either copy engine, or the converted walk prints it reversed.
+  RestructuringPlan plan = std::move(ParsePlan(kSchoolPlans[0])).value();
+  Program program = std::move(ParseProgram(R"(PROGRAM F78-SECTIONS.
+  FOR EACH O IN FIND(OFFERING: SYSTEM, ALL-SEM, SEMESTER(S = 'F78'),
+      SEM-OFF, OFFERING) DO
+    GET SECTION-NO OF O INTO SEC.
+    DISPLAY SEC.
+  END-FOR.
+END PROGRAM.)")).value();
+  Database source = testing::MakeCrossedSchoolDatabase();
+  for (DataCopyEngine engine :
+       {DataCopyEngine::kColumnarBulk, DataCopyEngine::kRecordAtATime}) {
+    ScopedDataCopyEngine scoped(engine);
+    ConversionSupervisor supervisor = *ConversionSupervisor::Create(
+        source.schema(), plan.View(), SupervisorOptions());
+    PipelineOutcome outcome = *supervisor.ConvertProgram(program);
+    ASSERT_EQ(outcome.classification, Convertibility::kAutomatic);
+    Result<Database> target = supervisor.TranslateDatabase(source);
+    ASSERT_TRUE(target.ok()) << target.status();
+    EquivalenceReport report = *CheckEquivalence(
+        source, program, *target, outcome.conversion.converted, IoScript());
+    EXPECT_TRUE(report.equivalent) << report.detail;
+  }
+}
 
 TEST(SchoolConversionTest, DropDependencyGuardsBothSets) {
   // A course delete must gain explicit offering deletion when CRS-OFF's

@@ -242,4 +242,31 @@ Database MakeSchoolDatabase() {
   return db;
 }
 
+Database MakeCrossedSchoolDatabase() {
+  Database db = MakeDatabase(SchoolDdl());
+  auto course = [&](const char* cno) {
+    return MustStore(&db, {"COURSE", {{"CNO", Value::String(cno)}}, {}});
+  };
+  auto semester = [&](const char* s, int64_t year) {
+    return MustStore(
+        &db, {"SEMESTER",
+              {{"S", Value::String(s)}, {"YEAR", Value::Int(year)}},
+              {}});
+  };
+  RecordId cs101 = course("CS101");
+  RecordId cs202 = course("CS202");
+  RecordId fall78 = semester("F78", 1978);
+  RecordId spring79 = semester("S79", 1979);
+  auto offer = [&](RecordId c, RecordId sem, int64_t section, int64_t year) {
+    MustStore(&db, {"OFFERING",
+                    {{"SECTION-NO", Value::Int(section)},
+                     {"YEAR", Value::Int(year)}},
+                    {{"CRS-OFF", c}, {"SEM-OFF", sem}}});
+  };
+  offer(cs101, spring79, 1, 1979);
+  offer(cs202, fall78, 2, 1978);
+  offer(cs101, fall78, 3, 1978);
+  return db;
+}
+
 }  // namespace dbpc::testing

@@ -35,6 +35,12 @@ void FillCompany(Database* db, int divisions, int emps_per_div);
 /// School database with a handful of courses, semesters and offerings.
 Database MakeSchoolDatabase();
 
+/// School database whose OFFERINGs were not stored in the order of their
+/// courses: o1 (CS101, S79, section 1), o2 (CS202, F78, section 2), o3
+/// (CS101, F78, section 3). So F78's SEM-OFF occurrence lists [o2 o3]
+/// while CS101's CRS-OFF occurrence lists [o1 o3].
+Database MakeCrossedSchoolDatabase();
+
 }  // namespace dbpc::testing
 
 #endif  // DBPC_TESTS_TESTING_FIXTURES_H_

@@ -2,9 +2,9 @@
 # One-command verification: the tier-1 build + test suite, one fuzz sweep
 # over every differential axis plus the regression corpus, bench smokes and
 # a dbpcd end-to-end smoke, then the concurrency-sensitive service and
-# daemon tests again under ThreadSanitizer, the storage, engine, data-copy
-# and wire-facing tests under AddressSanitizer, and the wire-facing tests
-# under UndefinedBehaviorSanitizer.
+# daemon tests again under ThreadSanitizer, the storage, engine, dump,
+# data-copy, transformation and wire-facing tests under AddressSanitizer,
+# and the wire-facing tests under UndefinedBehaviorSanitizer.
 #
 #   tools/check.sh [jobs]
 #
@@ -149,16 +149,21 @@ WIRE_TESTS="protocol_test sock_buffer_test daemon_options_test daemon_test
 # The record store hands out raw pointers into the records it owns, and the
 # engine and the bulk copy engine hold them across inserts, adoptions and
 # promotions; AddressSanitizer checks every such pointer these tests take.
-echo "== asan: storage, engine, copy and wire tests under -DDBPC_SANITIZE=address (build-asan/) =="
+# The transformation, split and dump tests run the extra_connects hooks,
+# which store helper records into a target the bulk engine holds set
+# linkers and record pointers into.
+echo "== asan: storage, engine, copy, transformation and wire tests under -DDBPC_SANITIZE=address (build-asan/) =="
 cmake -B build-asan -S . -DDBPC_SANITIZE=address >/dev/null
 # shellcheck disable=SC2086  # WIRE_TESTS is a word list
 cmake --build build-asan -j "$JOBS" \
   --target store_test extent_test database_test index_test bulk_load_test \
-           data_copy_test $WIRE_TESTS
+           textio_test data_copy_test transformation_test split_test \
+           $WIRE_TESTS
 (cd build-asan/tests/storage && ./store_test && ./extent_test)
 (cd build-asan/tests/engine && ./database_test && ./index_test \
-  && ./bulk_load_test)
-(cd build-asan/tests/restructure && ./data_copy_test)
+  && ./bulk_load_test && ./textio_test)
+(cd build-asan/tests/restructure && ./data_copy_test \
+  && ./transformation_test && ./split_test)
 (cd build-asan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
 
 echo "== ubsan: wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
