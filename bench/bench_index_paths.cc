@@ -20,8 +20,10 @@
 //
 // A second table prices single engine operations in ns/op, with the host
 // stamp, on the migrate-shaped COMPANY database: Store::Get, GetField on an
-// actual and on a virtual field, and a key-sorted StoreRecord into
-// occurrences of 64 (DIV-EMP) and 1540 (ALL-DIV) members.
+// actual and on a virtual field, a key-sorted StoreRecord into occurrences
+// of 64 (DIV-EMP) and 1540 (ALL-DIV) members, and EraseRecord of an EMP
+// with and without a SYSTEM-owned set over every EMP. It prints only: wall
+// time on a shared host drifts up to 2x, so it has no gate.
 //
 // Like E10 this is a plain table program: op counts are deterministic,
 // and wall time is reported per-workload rather than via google-benchmark
@@ -257,10 +259,15 @@ Row MeasureRow(Database* db, const std::string& name, int n,
 // in a fixed shuffled order, best of 5 passes. Sorted stores add members in
 // key order, as a copy does, so each one scans its whole occurrence: one
 // new EMP per populated division (64 members each), then 64 new DIVs into
-// ALL-DIV (1540 growing to 1603 members).
+// ALL-DIV (1540 growing to 1603 members). Erases take the first 1,000 EMPs
+// of the shuffled order through Database::EraseRecord: once on that
+// database, and once on a copy of it whose schema adds the chronological
+// SYSTEM-owned set ALL-EMP over every EMP, which prices unlinking a member
+// from one very long occurrence.
 
 constexpr int kPerOpDivisions = 1540;
 constexpr int kPerOpEmpsPerDiv = 64;
+constexpr size_t kPerOpErases = 1000;
 volatile size_t g_sink = 0;  // keeps the timed reads from being elided
 
 double NsSince(std::chrono::steady_clock::time_point start) {
@@ -283,14 +290,15 @@ double ReadNsPerOp(const std::vector<RecordId>& ids, int passes, Op op) {
   return best;
 }
 
-int RunPerOp(bool smoke) {
-  const int emp_divisions = smoke ? 16 : kPerOpDivisions;
-  Database db = testing::MakeDatabase(testing::CompanyDdl());
-  std::vector<RecordId> divs;
+/// The per-operation COMPANY instance over `ddl`; `divs` receives the DIV
+/// ids in name order.
+Database PerOpCompany(const std::string& ddl, int emp_divisions,
+                      std::vector<RecordId>* divs) {
+  Database db = testing::MakeDatabase(ddl);
   char name[32];
   for (int d = 0; d < kPerOpDivisions; ++d) {
     std::snprintf(name, sizeof(name), "DIV-%04d", d);
-    divs.push_back(bench::Value(
+    divs->push_back(bench::Value(
         db.StoreRecord({"DIV", {{"DIV-NAME", Value::String(name)}}, {}}),
         "store DIV"));
   }
@@ -300,11 +308,29 @@ int RunPerOp(bool smoke) {
       bench::Check(db.StoreRecord({"EMP",
                                    {{"EMP-NAME", Value::String(name)},
                                     {"AGE", Value::Int(20 + e % 45)}},
-                                   {{"DIV-EMP", divs[d]}}})
+                                   {{"DIV-EMP", (*divs)[d]}}})
                        .status(),
                    "store EMP");
     }
   }
+  return db;
+}
+
+/// Mean ns per EraseRecord over the first kPerOpErases of `ids`.
+double EraseNsPerOp(Database* db, const std::vector<RecordId>& ids) {
+  const size_t n = std::min(kPerOpErases, ids.size());
+  auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < n; ++i) {
+    bench::Check(db->EraseRecord(ids[i]), "erase EMP");
+  }
+  return NsSince(start) / static_cast<double>(n);
+}
+
+int RunPerOp(bool smoke) {
+  const int emp_divisions = smoke ? 16 : kPerOpDivisions;
+  std::vector<RecordId> divs;
+  Database db = PerOpCompany(testing::CompanyDdl(), emp_divisions, &divs);
+  char name[32];
   std::vector<RecordId> all = db.raw_store().AllRecords();
   const size_t records = all.size();
   std::vector<RecordId> emps = db.AllOfType("EMP");
@@ -359,13 +385,27 @@ int RunPerOp(bool smoke) {
     rows.push_back({"StoreRecord sorted, 1540 members",
                     static_cast<size_t>(kStores), NsSince(start) / kStores});
   }
+  const size_t erases = std::min(kPerOpErases, emps.size());
+  rows.push_back(
+      {"EraseRecord, EMP only in DIV-EMP", erases, EraseNsPerOp(&db, emps)});
+  {
+    // The same instance, ids included, with every EMP also in ALL-EMP.
+    std::string ddl = testing::CompanyDdl();
+    ddl.insert(ddl.find("END SET SECTION."),
+               "  SET NAME IS ALL-EMP.\n  OWNER IS SYSTEM.\n"
+               "  MEMBER IS EMP.\n  ORDER IS CHRONOLOGICAL.\n  END SET.\n");
+    std::vector<RecordId> system_divs;
+    Database system_db = PerOpCompany(ddl, emp_divisions, &system_divs);
+    rows.push_back({"EraseRecord, EMP also in a SYSTEM set", erases,
+                    EraseNsPerOp(&system_db, emps)});
+  }
 
   std::printf("\nE11 per-operation costs: %d divisions, %d of them with %d "
-              "EMP (%zu records)\nhost: %s\n%-34s %8s %10s\n",
+              "EMP (%zu records)\nhost: %s\n%-38s %8s %10s\n",
               kPerOpDivisions, emp_divisions, kPerOpEmpsPerDiv, records,
               bench::HostStamp().c_str(), "operation", "ops", "ns/op");
   for (const OpRow& row : rows) {
-    std::printf("%-34s %8zu %10.1f\n", row.operation, row.ops, row.ns);
+    std::printf("%-38s %8zu %10.1f\n", row.operation, row.ops, row.ns);
   }
   g_sink = sink;
   return 0;

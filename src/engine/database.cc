@@ -741,6 +741,41 @@ Status Database::ConnectInternal(const SetDef& set, RecordId member,
 }
 
 Status Database::EraseRecord(RecordId id) {
+  std::unordered_set<RecordId> doomed;
+  DBPC_RETURN_IF_ERROR(CheckErasable(id, &doomed));
+  return EraseUnchecked(id);
+}
+
+Status Database::CheckErasable(RecordId id,
+                               std::unordered_set<RecordId>* doomed) const {
+  const StoredRecord* rec = store_.Get(id);
+  if (rec == nullptr || doomed->count(id) != 0) {
+    return Status::NotFound("record " + std::to_string(id));
+  }
+  for (const SetDef* set : schema_.SetsOwnedBy(rec->type)) {
+    // The occurrence as EraseUnchecked will find it: doomed members have
+    // been erased, and so unlinked, by then.
+    std::vector<RecordId> members;
+    for (RecordId m : store_.Members(ToUpper(set->name), id)) {
+      if (doomed->count(m) == 0) members.push_back(m);
+    }
+    if (members.empty()) continue;
+    if (set->member_characterizes_owner) {
+      for (RecordId m : members) {
+        DBPC_RETURN_IF_ERROR(CheckErasable(m, doomed));
+        doomed->insert(m);
+      }
+      continue;
+    }
+    if (set->retention == RetentionClass::kMandatory) {
+      return Status::ConstraintViolation(
+          "record owns MANDATORY members in set " + set->name);
+    }
+  }
+  return Status::OK();
+}
+
+Status Database::EraseUnchecked(RecordId id) {
   const StoredRecord* rec = store_.Get(id);
   if (rec == nullptr) {
     return Status::NotFound("record " + std::to_string(id));
@@ -752,7 +787,7 @@ Status Database::EraseRecord(RecordId id) {
     if (members.empty()) continue;
     if (set->member_characterizes_owner) {
       for (RecordId m : members) {
-        DBPC_RETURN_IF_ERROR(EraseRecord(m));
+        DBPC_RETURN_IF_ERROR(EraseUnchecked(m));
       }
       continue;
     }

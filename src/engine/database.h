@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -110,7 +111,8 @@ class Database {
 
   /// Erases a record with CODASYL ERASE semantics: characterizing members
   /// are erased recursively, OPTIONAL members are disconnected, and
-  /// MANDATORY (non-characterizing) members block the erase.
+  /// MANDATORY (non-characterizing) members block the erase. A refused
+  /// erase, including one refused deep in the cascade, changes nothing.
   Status EraseRecord(RecordId id);
 
   /// Updates fields of an existing record; re-sorts set positions when a
@@ -306,6 +308,15 @@ class Database {
                                 const FieldMap* new_fields = nullptr) const;
 
   Status ConnectInternal(const SetDef& set, RecordId member, RecordId owner);
+
+  /// The refusal EraseRecord(id) would reach, decided before anything
+  /// changes: a walk over the owned sets in schema order that recurses
+  /// through characterizing members and charges no OpStats. `doomed` holds
+  /// the members the walk has passed; they count as already erased.
+  Status CheckErasable(RecordId id,
+                       std::unordered_set<RecordId>* doomed) const;
+  /// The erase cascade itself, once CheckErasable has passed.
+  Status EraseUnchecked(RecordId id);
 
   Schema schema_;
   Store store_;

@@ -20,7 +20,9 @@ Store::Slab& Store::Slab::operator=(const Slab& other) {
 
 RecordId Store::Insert(std::string type, FieldMap fields) {
   RecordId id = next_id_++;
-  by_type_[type].push_back(id);
+  TypeIds& dir = by_type_[type];
+  dir.ids.push_back(id);
+  ++dir.live;
   heap_.slots.resize(next_id_);
   heap_.slots[id] = std::make_unique<StoredRecord>(
       StoredRecord{id, std::move(type), std::move(fields)});
@@ -35,11 +37,12 @@ const ExtentTable& Store::AdoptExtents(ExtentTable table) {
   // Slots for the new ids stay null until their rows are promoted.
   heap_.slots.resize(next_id_);
   table.AssignIds(first);
-  std::vector<RecordId>& dir = by_type_[table.type()];
-  dir.reserve(dir.size() + rows);
+  TypeIds& dir = by_type_[table.type()];
+  dir.ids.reserve(dir.ids.size() + rows);
   for (size_t r = 0; r < rows; ++r) {
-    dir.push_back(first + static_cast<RecordId>(r));
+    dir.ids.push_back(first + static_cast<RecordId>(r));
   }
+  dir.live += rows;
   ColumnarSegment seg{std::move(table), std::vector<bool>(rows, false), rows};
   // insert_or_assign: an empty adoption leaves next_id_ unchanged, so a
   // later adoption may legitimately reuse the key of a zero-row segment.
@@ -79,11 +82,25 @@ const StoredRecord* Store::Promote(RecordId id) const {
 }
 
 void Store::DropFromDirectory(const std::string& type, RecordId id) {
-  auto dir = by_type_.find(type);
-  if (dir == by_type_.end()) return;
-  std::vector<RecordId>& ids = dir->second;
-  auto pos = std::lower_bound(ids.begin(), ids.end(), id);
-  if (pos != ids.end() && *pos == id) ids.erase(pos);
+  auto it = by_type_.find(type);
+  if (it == by_type_.end()) return;
+  TypeIds& dir = it->second;
+  // Tombstones keep their id in the low bits, so the list stays sorted.
+  auto pos = std::lower_bound(
+      dir.ids.begin(), dir.ids.end(), id,
+      [](RecordId entry, RecordId target) {
+        return (entry & ~kTombstone) < target;
+      });
+  if (pos == dir.ids.end() || *pos != id) return;  // absent or tombstoned
+  *pos |= kTombstone;
+  --dir.live;
+  if (dir.ids.size() - dir.live > dir.live) {
+    dir.ids.erase(std::remove_if(dir.ids.begin(), dir.ids.end(),
+                                 [](RecordId entry) {
+                                   return (entry & kTombstone) != 0;
+                                 }),
+                  dir.ids.end());
+  }
 }
 
 Status Store::Remove(RecordId id) {
@@ -117,10 +134,17 @@ StoredRecord* Store::GetMutable(RecordId id) {
   return const_cast<StoredRecord*>(Get(id));
 }
 
-const std::vector<RecordId>& Store::OfType(const std::string& type) const {
-  static const std::vector<RecordId> kEmpty;
+Store::TypeView Store::OfType(const std::string& type) const {
   auto it = by_type_.find(type);
-  return it == by_type_.end() ? kEmpty : it->second;
+  return TypeView(it == by_type_.end() ? nullptr : &it->second);
+}
+
+std::vector<RecordId> Store::AllOfType(const std::string& type) const {
+  TypeView view = OfType(type);
+  std::vector<RecordId> ids;
+  ids.reserve(view.size());
+  for (RecordId id : view) ids.push_back(id);
+  return ids;
 }
 
 std::vector<RecordId> Store::AllRecords() const {

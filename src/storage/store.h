@@ -20,10 +20,12 @@ namespace dbpc {
 /// three data-model facades. The store knows nothing about schemas; the
 /// `Database` engine layers validation and constraint enforcement on top.
 ///
-/// The record heap is a slab indexed by record id: `Get`, `Exists` and
-/// `Remove` index an array, and a record never moves once materialized, so
-/// a `const StoredRecord*` stays valid until that record is removed or the
-/// store destroyed. Ids are never reused.
+/// The record heap is a slab indexed by record id: `Get` and `Exists` index
+/// an array, and a record never moves once materialized, so a
+/// `const StoredRecord*` stays valid until that record is removed or the
+/// store destroyed. Ids are never reused. A per-type directory keeps each
+/// type's ids ascending; `Remove` tombstones its entry in place (see
+/// `OfType`), so removal costs O(log n) amortized in the type's size.
 ///
 /// Set occurrences are kept as explicit ordered member lists per owner, the
 /// in-memory analogue of 1970s chain/pointer-array set implementations.
@@ -35,6 +37,7 @@ namespace dbpc {
 /// cannot tell the difference — `Get` et al. are a view over both layouts.
 class Store {
   struct SetIndex;  // defined below; named by BulkLinker
+  struct TypeIds;   // defined below; named by TypeView
 
  public:
   /// Inserts a record and returns its new id.
@@ -78,14 +81,74 @@ class Store {
     return SetReader(it == sets_.end() ? nullptr : &it->second);
   }
 
-  /// All live records of `type`, in ascending id (i.e. insertion) order.
-  /// Served from a per-type directory: O(live-of-type), not a heap walk.
-  const std::vector<RecordId>& OfType(const std::string& type) const;
+  /// Read-only view of one type's directory entry: yields the type's live
+  /// ids in ascending id (i.e. insertion) order, and `size()` is their
+  /// count. The view itself stays valid across inserts and removals of any
+  /// type and always shows the current contents, but an iterator is
+  /// invalidated, like a vector's, by an insert or a `Remove` of the same
+  /// type: a `Remove` may compact the entry. Callers that remove while they
+  /// walk iterate `AllOfType` instead. A view of a type the store has never
+  /// held stays empty; take a new view after its first insert.
+  class TypeView {
+   public:
+    class iterator {
+     public:
+      iterator() = default;
+      RecordId operator*() const { return *pos_; }
+      iterator& operator++() {
+        ++pos_;
+        SkipTombstones();
+        return *this;
+      }
+      bool operator==(const iterator& other) const {
+        return pos_ == other.pos_;
+      }
+      bool operator!=(const iterator& other) const {
+        return pos_ != other.pos_;
+      }
 
-  /// Copying wrapper around OfType for callers that mutate while iterating.
-  std::vector<RecordId> AllOfType(const std::string& type) const {
-    return OfType(type);
-  }
+     private:
+      friend class TypeView;
+      iterator(const RecordId* pos, const RecordId* end)
+          : pos_(pos), end_(end) {
+        SkipTombstones();
+      }
+      void SkipTombstones() {
+        while (pos_ != end_ && (*pos_ & kTombstone) != 0) ++pos_;
+      }
+      const RecordId* pos_ = nullptr;
+      const RecordId* end_ = nullptr;
+    };
+
+    iterator begin() const {
+      if (dir_ == nullptr) return iterator();
+      const RecordId* data = dir_->ids.data();
+      return iterator(data, data + dir_->ids.size());
+    }
+    iterator end() const {
+      if (dir_ == nullptr) return iterator();
+      const RecordId* stop = dir_->ids.data() + dir_->ids.size();
+      return iterator(stop, stop);
+    }
+    size_t size() const { return dir_ == nullptr ? 0 : dir_->live; }
+    bool empty() const { return size() == 0; }
+
+   private:
+    friend class Store;
+    explicit TypeView(const TypeIds* dir) : dir_(dir) {}
+    const TypeIds* dir_ = nullptr;
+  };
+
+  /// All live records of `type`, ascending, served from the per-type
+  /// directory: O(live-of-type), not a heap walk. Each type keeps an
+  /// ascending id list in which `Remove` finds its entry by binary search
+  /// and marks it as a tombstone. The list is compacted when tombstones
+  /// outnumber live entries, so a walk visits at most 2·size() entries and
+  /// each compaction is paid for by the removals since the last one.
+  TypeView OfType(const std::string& type) const;
+
+  /// Copying form of OfType for callers that mutate while iterating.
+  std::vector<RecordId> AllOfType(const std::string& type) const;
 
   /// All live record ids in insertion order.
   std::vector<RecordId> AllRecords() const;
@@ -199,7 +262,16 @@ class Store {
   /// the columnar members exist to serve logically-const promotion.
   std::pair<ColumnarSegment*, size_t> SegmentRow(RecordId id) const;
 
-  /// Erases `id` from the per-type directory of `type`.
+  /// One type's directory entry: its ids ascending, removed ids marked in
+  /// place by `kTombstone` until the next compaction (see OfType). Ids are
+  /// issued from 1 and stay below 2^63, so the top bit is free.
+  struct TypeIds {
+    std::vector<RecordId> ids;
+    size_t live = 0;  // entries without kTombstone
+  };
+  static constexpr RecordId kTombstone = RecordId{1} << 63;
+
+  /// Tombstones `id` in the directory entry of `type`.
   void DropFromDirectory(const std::string& type, RecordId id);
 
   /// Materializes columnar row `id` into the record heap; nullptr when
@@ -232,9 +304,10 @@ class Store {
   /// Live rows across all segments (not yet promoted or removed).
   mutable size_t columnar_live_ = 0;
   std::unordered_map<std::string, SetIndex> sets_;
-  /// type -> live ids, ascending (ids are allocated monotonically, so
-  /// appending on insert keeps each list in insertion order).
-  std::unordered_map<std::string, std::vector<RecordId>> by_type_;
+  /// type -> ids, ascending (ids are allocated monotonically, so appending
+  /// on insert keeps each list in insertion order). Node-stable, so a
+  /// TypeView survives inserts of other types.
+  std::unordered_map<std::string, TypeIds> by_type_;
 };
 
 }  // namespace dbpc

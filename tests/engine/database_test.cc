@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "engine/textio.h"
 #include "testing/fixtures.h"
 
 namespace dbpc {
@@ -162,6 +164,166 @@ TEST(DatabaseTest, EraseDisconnectsOptionalMembers) {
   ASSERT_TRUE(db.EraseRecord(div).ok());
   EXPECT_TRUE(db.Exists(emp));
   EXPECT_EQ(db.OwnerOf("DIV-EMP", emp), 0u);
+}
+
+/// O owns a characterizing set O-A declared before a MANDATORY set O-B;
+/// each A may own MANDATORY C members in A-C.
+const char* kEraseCascadeDdl = R"(
+SCHEMA NAME IS CASCADE
+RECORD SECTION.
+  RECORD NAME IS O.
+  FIELDS ARE.
+    O-NAME PIC X(8).
+  END RECORD.
+  RECORD NAME IS A.
+  FIELDS ARE.
+    A-NAME PIC X(8).
+  END RECORD.
+  RECORD NAME IS B.
+  FIELDS ARE.
+    B-NAME PIC X(8).
+  END RECORD.
+  RECORD NAME IS C.
+  FIELDS ARE.
+    C-NAME PIC X(8).
+  END RECORD.
+END RECORD SECTION.
+SET SECTION.
+  SET NAME IS ALL-O.
+  OWNER IS SYSTEM.
+  MEMBER IS O.
+  SET KEYS ARE (O-NAME).
+  END SET.
+  SET NAME IS O-A.
+  OWNER IS O.
+  MEMBER IS A.
+  SET KEYS ARE (A-NAME).
+  MEMBER IS CHARACTERIZING.
+  END SET.
+  SET NAME IS O-B.
+  OWNER IS O.
+  MEMBER IS B.
+  SET KEYS ARE (B-NAME).
+  END SET.
+  SET NAME IS A-C.
+  OWNER IS A.
+  MEMBER IS C.
+  SET KEYS ARE (C-NAME).
+  END SET.
+END SET SECTION.
+CONSTRAINT SECTION.
+  CONSTRAINT UNIQ-A-NAME IS UNIQUE ON A (A-NAME).
+END CONSTRAINT SECTION.
+END SCHEMA.
+)";
+
+TEST(DatabaseTest, RefusedEraseLeavesTheCascadeUntouched) {
+  // Two refusals: O-B, reached after O-A's cascade, and A-C, reached deep
+  // in the cascade after a sibling A was already erasable. Neither may
+  // leave a record, link, index entry or directory entry changed.
+  for (bool refuse_deep : {false, true}) {
+    SCOPED_TRACE(refuse_deep ? "refused in A-C" : "refused in O-B");
+    Database db = MakeDatabase(kEraseCascadeDdl);
+    RecordId o = *db.StoreRecord({"O", {{"O-NAME", Value::String("O")}}, {}});
+    RecordId a1 = *db.StoreRecord(
+        {"A", {{"A-NAME", Value::String("A1")}}, {{"O-A", o}}});
+    RecordId a2 = *db.StoreRecord(
+        {"A", {{"A-NAME", Value::String("A2")}}, {{"O-A", o}}});
+    if (refuse_deep) {
+      ASSERT_TRUE(db.StoreRecord({"C",
+                                  {{"C-NAME", Value::String("C")}},
+                                  {{"A-C", a2}}})
+                      .ok());
+    } else {
+      ASSERT_TRUE(db.StoreRecord({"B",
+                                  {{"B-NAME", Value::String("B")}},
+                                  {{"O-B", o}}})
+                      .ok());
+    }
+    const std::string before = *DumpDatabaseText(db);
+    db.ResetStats();
+    Status s = db.EraseRecord(o);
+    EXPECT_EQ(s.code(), StatusCode::kConstraintViolation);
+    EXPECT_EQ(s.message(),
+              refuse_deep ? "record owns MANDATORY members in set A-C"
+                          : "record owns MANDATORY members in set O-B");
+    // The walk that decides the refusal charges nothing.
+    EXPECT_EQ(db.stats().Total(), 0u);
+    EXPECT_EQ(*DumpDatabaseText(db), before);
+    EXPECT_EQ(db.AllOfType("A"), (std::vector<RecordId>{a1, a2}));
+    EXPECT_EQ(db.Members("O-A", o), (std::vector<RecordId>{a1, a2}));
+    // The uniqueness index still holds A1: a second A1, under another O so
+    // that no set key collides, is refused.
+    RecordId o2 =
+        *db.StoreRecord({"O", {{"O-NAME", Value::String("O2")}}, {}});
+    EXPECT_FALSE(db.StoreRecord({"A",
+                                 {{"A-NAME", Value::String("A1")}},
+                                 {{"O-A", o2}}})
+                     .ok());
+  }
+}
+
+TEST(DatabaseTest, EraseWalkCountsMembersAnEarlierCascadeErased) {
+  // X is characterized by M1 and a MANDATORY member of M2. Erasing O
+  // cascades through O-M1 first, which erases X and so empties M2-X before
+  // O-M2's cascade reaches M2: the erase succeeds, and the walk that
+  // decides refusals up front must agree.
+  Database db = MakeDatabase(R"(
+SCHEMA NAME IS SIBLINGS
+RECORD SECTION.
+  RECORD NAME IS O.
+  FIELDS ARE.
+    N PIC X(4).
+  END RECORD.
+  RECORD NAME IS M1.
+  FIELDS ARE.
+    N PIC X(4).
+  END RECORD.
+  RECORD NAME IS M2.
+  FIELDS ARE.
+    N PIC X(4).
+  END RECORD.
+  RECORD NAME IS X.
+  FIELDS ARE.
+    N PIC X(4).
+  END RECORD.
+END RECORD SECTION.
+SET SECTION.
+  SET NAME IS O-M1.
+  OWNER IS O.
+  MEMBER IS M1.
+  MEMBER IS CHARACTERIZING.
+  END SET.
+  SET NAME IS O-M2.
+  OWNER IS O.
+  MEMBER IS M2.
+  MEMBER IS CHARACTERIZING.
+  END SET.
+  SET NAME IS M1-X.
+  OWNER IS M1.
+  MEMBER IS X.
+  MEMBER IS CHARACTERIZING.
+  END SET.
+  SET NAME IS M2-X.
+  OWNER IS M2.
+  MEMBER IS X.
+  END SET.
+END SET SECTION.
+END SCHEMA.
+)");
+  auto store = [&db](const char* type, std::map<std::string, RecordId> sets) {
+    Result<RecordId> id = db.StoreRecord({type, {}, std::move(sets)});
+    EXPECT_TRUE(id.ok()) << type << ": " << id.status();
+    return id.ok() ? *id : 0;
+  };
+  RecordId o = store("O", {});
+  RecordId m1 = store("M1", {{"O-M1", o}});
+  RecordId m2 = store("M2", {{"O-M2", o}});
+  RecordId x = store("X", {{"M1-X", m1}, {"M2-X", m2}});
+  // M2 alone is refused: X is still its MANDATORY member.
+  EXPECT_EQ(db.EraseRecord(m2).code(), StatusCode::kConstraintViolation);
+  ASSERT_TRUE(db.EraseRecord(o).ok());
+  for (RecordId id : {o, m1, m2, x}) EXPECT_FALSE(db.Exists(id)) << id;
 }
 
 TEST(DatabaseTest, ModifyUpdatesFieldAndResorts) {

@@ -550,7 +550,7 @@ TEST(CopyDatabaseTest, PartiallyPromotedColumnarSourceCopiesIdentically) {
   for (DataCopyEngine engine :
        {DataCopyEngine::kColumnarBulk, DataCopyEngine::kRecordAtATime}) {
     Database source = BuildColumnarSource();
-    RecordId second_emp = source.raw_store().OfType("EMP")[1];
+    RecordId second_emp = source.raw_store().AllOfType("EMP")[1];
     ASSERT_NE(source.raw_store().Get(second_emp), nullptr);  // promotes
     EXPECT_FALSE(StillFullyColumnar(source, "EMP"));
     Database target = testing::MakeDatabase(kColumnarDdl);
@@ -651,7 +651,7 @@ TEST(CopyDatabaseTest, HookSpecsMatchAcrossEngines) {
       // Helper records take the ids just before their type's records.
       ids.emplace_back();
       for (const RecordTypeDef& r : target->schema().record_types()) {
-        ids.back().push_back(target->raw_store().OfType(ToUpper(r.name)));
+        ids.back().push_back(target->raw_store().AllOfType(ToUpper(r.name)));
       }
     }
     EXPECT_EQ(dumps[0], dumps[1]) << c.name;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
 namespace dbpc {
 namespace {
 
@@ -121,23 +128,37 @@ TEST(StoreTest, AllOfTypeKeepsInsertionOrderAcrossRemovals) {
   EXPECT_EQ(store.AllRecords(), (std::vector<RecordId>{a1, b1, a3, b2, a4}));
 }
 
+std::vector<RecordId> Ids(Store::TypeView view) {
+  std::vector<RecordId> ids;
+  for (RecordId id : view) ids.push_back(id);
+  return ids;
+}
+
 TEST(StoreTest, OfTypeReferenceSurvivesInsertsOfOtherTypes) {
-  // The reference-stability contract the extent loader leans on: the vector
-  // OfType returns lives in a node-stable map, so inserting records — even
-  // enough distinct types to rehash the per-type directory — never moves
-  // it. Only same-type inserts change its contents.
+  // The view's contract: it points into a node-stable map, so inserting
+  // records — even enough distinct types to rehash the per-type directory —
+  // never invalidates it, and it always shows the type's current live ids,
+  // across same-type inserts and removals (compactions included).
   Store store;
   RecordId a1 = store.Insert("A", {});
-  const std::vector<RecordId>& ref = store.OfType("A");
-  const std::vector<RecordId>* address = &ref;
+  Store::TypeView view = store.OfType("A");
   for (int i = 0; i < 200; ++i) {
     store.Insert("T" + std::to_string(i), {});
   }
-  EXPECT_EQ(&store.OfType("A"), address);
-  EXPECT_EQ(ref, (std::vector<RecordId>{a1}));
+  EXPECT_EQ(Ids(view), (std::vector<RecordId>{a1}));
+  EXPECT_EQ(view.size(), 1u);
   RecordId a2 = store.Insert("A", {});
-  EXPECT_EQ(&store.OfType("A"), address);
-  EXPECT_EQ(ref, (std::vector<RecordId>{a1, a2}));
+  EXPECT_EQ(Ids(view), (std::vector<RecordId>{a1, a2}));
+  EXPECT_EQ(view.size(), 2u);
+  ASSERT_TRUE(store.Remove(a1).ok());
+  EXPECT_EQ(Ids(view), (std::vector<RecordId>{a2}));
+  ASSERT_TRUE(store.Remove(a2).ok());  // tombstones outnumber live: compacts
+  EXPECT_TRUE(view.empty());
+  EXPECT_EQ(view.begin(), view.end());
+  RecordId a3 = store.Insert("A", {});
+  EXPECT_EQ(Ids(view), (std::vector<RecordId>{a3}));
+  EXPECT_EQ(view.size(), 1u);
+  EXPECT_TRUE(store.OfType("NEVER-HELD").empty());
 }
 
 TEST(StoreTest, GetPointerSurvivesLaterInserts) {
@@ -293,6 +314,205 @@ TEST(StoreTest, AllRecordsAndLiveCountAfterMixedRemovals) {
   for (RecordId id : store.AllRecords()) ASSERT_TRUE(store.Remove(id).ok());
   EXPECT_EQ(store.LiveCount(), 0u);
   EXPECT_TRUE(store.AllRecords().empty());
+}
+
+// --- the per-type directory ----------------------------------------------
+//
+// Every fuzz axis compares two runs over the same Store, so a directory
+// defect shared by both runs never diverges; these tests pin the directory
+// against an explicit reference instead.
+
+TEST(StoreTest, RemovingMostOfATypeThenRemovingAndInsertingAgain) {
+  Store store;
+  std::vector<RecordId> a;
+  std::vector<RecordId> b;
+  for (int i = 0; i < 10; ++i) {
+    a.push_back(store.Insert("A", {}));
+    b.push_back(store.Insert("B", {}));
+  }
+  // Keep a[0], a[3] and a[6]. The directory crosses its compaction point
+  // (tombstones > live) on the sixth removal, and the view must read the
+  // same before and after.
+  std::vector<RecordId> want = a;
+  for (int i : {1, 2, 4, 5, 7, 8, 9}) {
+    ASSERT_TRUE(store.Remove(a[i]).ok());
+    want.erase(std::find(want.begin(), want.end(), a[i]));
+    EXPECT_EQ(Ids(store.OfType("A")), want) << "after removing a[" << i << "]";
+    EXPECT_EQ(store.OfType("A").size(), want.size());
+  }
+  ASSERT_TRUE(store.Remove(a[3]).ok());
+  RecordId a10 = store.Insert("A", {});
+  EXPECT_EQ(Ids(store.OfType("A")), (std::vector<RecordId>{a[0], a[6], a10}));
+  for (RecordId id : {a[0], a[6], a10}) ASSERT_TRUE(store.Remove(id).ok());
+  EXPECT_TRUE(store.OfType("A").empty());
+  RecordId a11 = store.Insert("A", {});
+  EXPECT_EQ(Ids(store.OfType("A")), (std::vector<RecordId>{a11}));
+  EXPECT_EQ(store.AllOfType("A"), (std::vector<RecordId>{a11}));
+  EXPECT_EQ(Ids(store.OfType("B")), b);
+  EXPECT_EQ(store.LiveCount(), 11u);
+}
+
+TEST(StoreTest, CloneThenRemoveLeavesTheOtherDirectoryUnchanged) {
+  Store store;
+  std::vector<RecordId> a;
+  for (int i = 0; i < 6; ++i) a.push_back(store.Insert("A", {}));
+  Store copy = store.Clone();
+  for (int i : {0, 1, 2, 4}) ASSERT_TRUE(copy.Remove(a[i]).ok());  // compacts
+  EXPECT_EQ(Ids(copy.OfType("A")), (std::vector<RecordId>{a[3], a[5]}));
+  EXPECT_EQ(Ids(store.OfType("A")), a);
+  EXPECT_EQ(store.OfType("A").size(), 6u);
+  ASSERT_TRUE(store.Remove(a[3]).ok());
+  EXPECT_EQ(Ids(copy.OfType("A")), (std::vector<RecordId>{a[3], a[5]}));
+  EXPECT_EQ(Ids(store.OfType("A")),
+            (std::vector<RecordId>{a[0], a[1], a[2], a[4], a[5]}));
+  // A tombstone the copy inherits is the copy's own to compact.
+  Store second = store.Clone();
+  ASSERT_TRUE(second.Remove(a[0]).ok());
+  ASSERT_TRUE(second.Remove(a[1]).ok());
+  ASSERT_TRUE(second.Remove(a[2]).ok());
+  EXPECT_EQ(Ids(second.OfType("A")), (std::vector<RecordId>{a[4], a[5]}));
+  EXPECT_EQ(store.OfType("A").size(), 5u);
+}
+
+TEST(StoreTest, RemovingColumnarAndPromotedRowsUpdatesTheView) {
+  Store store;
+  RecordId h = store.Insert("A", {});
+  ExtentTable t("A", {"F"}, {FieldType::kInt});
+  for (int r = 0; r < 4; ++r) t.AppendRow(0, {Value::Int(r)});
+  const ExtentTable& rows = store.AdoptExtents(std::move(t));
+  EXPECT_EQ(Ids(store.OfType("A")),
+            (std::vector<RecordId>{h, rows.IdAt(0), rows.IdAt(1),
+                                   rows.IdAt(2), rows.IdAt(3)}));
+  ASSERT_NE(store.Get(rows.IdAt(1)), nullptr);  // promotes
+  ASSERT_TRUE(store.Remove(rows.IdAt(0)).ok());  // still columnar
+  ASSERT_TRUE(store.Remove(rows.IdAt(1)).ok());  // promoted
+  EXPECT_EQ(Ids(store.OfType("A")),
+            (std::vector<RecordId>{h, rows.IdAt(2), rows.IdAt(3)}));
+  EXPECT_EQ(store.OfType("A").size(), 3u);
+  EXPECT_EQ(store.ColumnarRuns("A")[0].live, 2u);
+  ASSERT_TRUE(store.Remove(h).ok());  // compacts: 3 tombstones, 2 live
+  EXPECT_EQ(Ids(store.OfType("A")),
+            (std::vector<RecordId>{rows.IdAt(2), rows.IdAt(3)}));
+}
+
+TEST(StoreTest, SecondRemoveIsNotFoundAndLeavesSizeUnchanged) {
+  Store store;
+  RecordId a1 = store.Insert("A", {});
+  RecordId a2 = store.Insert("A", {});
+  RecordId a3 = store.Insert("A", {});
+  ExtentTable t("A", {"F"}, {FieldType::kInt});
+  t.AppendRow(0, {Value::Int(1)});
+  const RecordId c = store.AdoptExtents(std::move(t)).IdAt(0);
+  ASSERT_TRUE(store.Remove(a2).ok());
+  ASSERT_TRUE(store.Remove(c).ok());
+  for (RecordId id : {a2, c}) {
+    SCOPED_TRACE(id);
+    EXPECT_EQ(store.Remove(id).code(), StatusCode::kNotFound);
+    EXPECT_EQ(store.OfType("A").size(), 2u);
+    EXPECT_EQ(Ids(store.OfType("A")), (std::vector<RecordId>{a1, a3}));
+  }
+  EXPECT_EQ(store.LiveCount(), 2u);
+}
+
+/// Checks every read of the directory against `model` (type -> live ids);
+/// `next_id` bounds the ids ever issued.
+void CheckAgainstModel(const Store& store,
+                        const std::map<std::string, std::set<RecordId>>& model,
+                        RecordId next_id) {
+  std::set<RecordId> all;
+  for (const auto& [type, ids] : model) {
+    SCOPED_TRACE(type);
+    const std::vector<RecordId> want(ids.begin(), ids.end());
+    ASSERT_EQ(Ids(store.OfType(type)), want);
+    ASSERT_EQ(store.OfType(type).size(), want.size());
+    ASSERT_EQ(store.AllOfType(type), want);
+    all.insert(ids.begin(), ids.end());
+  }
+  ASSERT_EQ(store.AllRecords(), std::vector<RecordId>(all.begin(), all.end()));
+  ASSERT_EQ(store.LiveCount(), all.size());
+  for (RecordId id = 0; id <= next_id; ++id) {
+    ASSERT_EQ(store.Exists(id), all.count(id) == 1) << "id " << id;
+  }
+}
+
+TEST(StoreTest, DirectoryMatchesAReferenceModelUnderRandomOperations) {
+  // Random Insert, AdoptExtents, Get (which promotes columnar rows) and
+  // Remove over three types, in alternating growth and shrink phases so
+  // that every type crosses the compaction point many times.
+  const std::vector<std::string> types = {"A", "B", "C"};
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    auto pick = [&rng](size_t n) {
+      return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+    };
+    Store store;
+    std::map<std::string, std::set<RecordId>> model;
+    std::map<RecordId, std::string> type_of;  // every id ever issued
+    std::map<std::string, size_t> tombstones;  // mirrors the compaction rule
+    RecordId next_id = 1;
+    int compactions = 0;
+    for (const std::string& type : types) model[type];
+    for (int step = 0; step < 1200; ++step) {
+      const bool shrinking = (step / 60) % 2 == 1;
+      const size_t roll = pick(100);
+      const std::string& type = types[pick(types.size())];
+      std::vector<RecordId> live;
+      for (const auto& [t, ids] : model) {
+        live.insert(live.end(), ids.begin(), ids.end());
+      }
+      if (roll < (shrinking ? 10u : 45u)) {
+        RecordId id = store.Insert(type, {{"F", Value::Int(step)}});
+        ASSERT_EQ(id, next_id++);
+        model[type].insert(id);
+        type_of[id] = type;
+      } else if (roll < (shrinking ? 12u : 65u)) {
+        ExtentTable t(type, {"F"}, {FieldType::kInt});
+        const size_t n = pick(7);
+        for (size_t r = 0; r < n; ++r) {
+          t.AppendRow(0, {Value::Int(static_cast<int64_t>(r))});
+        }
+        const ExtentTable& rows = store.AdoptExtents(std::move(t));
+        for (size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(rows.IdAt(r), next_id++);
+          model[type].insert(rows.IdAt(r));
+          type_of[rows.IdAt(r)] = type;
+        }
+      } else if (roll < (shrinking ? 20u : 80u)) {
+        if (next_id == 1) continue;
+        const RecordId id = 1 + pick(next_id - 1);
+        const StoredRecord* rec = store.Get(id);
+        const bool is_live = model[type_of[id]].count(id) == 1;
+        ASSERT_EQ(rec != nullptr, is_live) << "Get " << id;
+        if (rec != nullptr) {
+          EXPECT_EQ(rec->id, id);
+          EXPECT_EQ(rec->type, type_of[id]);
+        }
+      } else {
+        // Mostly live ids; sometimes any issued id, removed ones included.
+        RecordId id = 0;
+        if (!live.empty() && pick(10) != 0) {
+          id = live[pick(live.size())];
+        } else if (next_id > 1) {
+          id = 1 + pick(next_id - 1);
+        } else {
+          continue;
+        }
+        const std::string& id_type = type_of[id];
+        const bool is_live = model[id_type].erase(id) == 1;
+        ASSERT_EQ(store.Remove(id).code(),
+                  is_live ? StatusCode::kOk : StatusCode::kNotFound)
+            << "Remove " << id;
+        if (is_live && ++tombstones[id_type] > model[id_type].size()) {
+          tombstones[id_type] = 0;
+          ++compactions;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(CheckAgainstModel(store, model, next_id))
+          << "step " << step;
+    }
+    EXPECT_GE(compactions, 20);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 # over every differential axis plus the regression corpus, bench smokes and
 # a dbpcd end-to-end smoke, then the concurrency-sensitive service and
 # daemon tests again under ThreadSanitizer, the storage, engine, dump,
-# data-copy, transformation and wire-facing tests under AddressSanitizer,
-# and the wire-facing tests under UndefinedBehaviorSanitizer.
+# data-copy, transformation, facade and wire-facing tests under
+# AddressSanitizer, and the store, database, index and wire-facing tests
+# under UndefinedBehaviorSanitizer.
 #
 #   tools/check.sh [jobs]
 #
@@ -151,25 +152,38 @@ WIRE_TESTS="protocol_test sock_buffer_test daemon_options_test daemon_test
 # promotions; AddressSanitizer checks every such pointer these tests take.
 # The transformation, split and dump tests run the extra_connects hooks,
 # which store helper records into a target the bulk engine holds set
-# linkers and record pointers into.
-echo "== asan: storage, engine, copy, transformation and wire tests under -DDBPC_SANITIZE=address (build-asan/) =="
+# linkers and record pointers into. The interpreter, CODASYL machine,
+# hierarchical and relational tests erase through the engine into the
+# store's tombstoned per-type directory, which they walk afterwards.
+echo "== asan: storage, engine, copy, transformation, facade and wire tests under -DDBPC_SANITIZE=address (build-asan/) =="
 cmake -B build-asan -S . -DDBPC_SANITIZE=address >/dev/null
 # shellcheck disable=SC2086  # WIRE_TESTS is a word list
 cmake --build build-asan -j "$JOBS" \
   --target store_test extent_test database_test index_test bulk_load_test \
            textio_test data_copy_test transformation_test split_test \
-           $WIRE_TESTS
+           interpreter_test interpreter_edge_test machine_test \
+           hierarchical_test relational_test $WIRE_TESTS
 (cd build-asan/tests/storage && ./store_test && ./extent_test)
 (cd build-asan/tests/engine && ./database_test && ./index_test \
   && ./bulk_load_test && ./textio_test)
 (cd build-asan/tests/restructure && ./data_copy_test \
   && ./transformation_test && ./split_test)
+(cd build-asan/tests/lang && ./interpreter_test && ./interpreter_edge_test)
+(cd build-asan/tests/codasyl && ./machine_test)
+(cd build-asan/tests/hierarchical && ./hierarchical_test)
+(cd build-asan/tests/relational && ./relational_test)
 (cd build-asan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
 
-echo "== ubsan: wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
+# The store packs a tombstone into a directory entry's top bit; the store,
+# database and index tests erase through it, so UBSan checks those shifts
+# and masks as well as the wire parsers.
+echo "== ubsan: store, database, index and wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
 cmake -B build-ubsan -S . -DDBPC_SANITIZE=undefined >/dev/null
 # shellcheck disable=SC2086  # WIRE_TESTS is a word list
-cmake --build build-ubsan -j "$JOBS" --target $WIRE_TESTS
+cmake --build build-ubsan -j "$JOBS" \
+  --target store_test database_test index_test $WIRE_TESTS
+(cd build-ubsan/tests/storage && ./store_test)
+(cd build-ubsan/tests/engine && ./database_test && ./index_test)
 (cd build-ubsan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
 
 echo "== check.sh: all green =="
