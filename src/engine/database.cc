@@ -11,11 +11,34 @@ namespace dbpc {
 Result<Database> Database::Create(Schema schema) {
   DBPC_RETURN_IF_ERROR(schema.Validate());
   Database db(std::move(schema));
+  for (const RecordTypeDef& type : db.schema_.record_types()) {
+    BoundType& bound = db.binding_.emplace_back();
+    bound.name = ToUpper(type.name);
+    for (const FieldDef& f : type.fields) {
+      bound.fields.push_back({ToUpper(f.name), f.is_virtual,
+                              ToUpper(f.via_set), ToUpper(f.using_field)});
+    }
+  }
   db.RegisterAutoIndexes();
   return db;
 }
 
 namespace {
+
+/// The entry of `bound` named `name`: an exact match on the canonical
+/// upper-case name, else the first case-insensitive one, as the schema's
+/// own lookups would find it.
+template <typename Bound>
+const Bound* FindBound(const std::vector<Bound>& bound,
+                       const std::string& name) {
+  for (const Bound& b : bound) {
+    if (b.name == name) return &b;
+  }
+  for (const Bound& b : bound) {
+    if (EqualsIgnoreCase(b.name, name)) return &b;
+  }
+  return nullptr;
+}
 
 /// Canonicalizes field map keys to upper case so lookups are uniform.
 FieldMap CanonicalFields(const FieldMap& in) {
@@ -828,6 +851,7 @@ Status Database::ModifyRecord(RecordId id, const FieldMap& updates) {
     return Status::NotFound("record " + std::to_string(id));
   }
   const RecordTypeDef* type = schema_.FindRecordType(rec->type);
+  if (type == nullptr) return Status::NotFound("record type " + rec->type);
   FieldMap canonical = CanonicalFields(updates);
   FieldMap next = rec->fields;
   for (const auto& [name, value] : canonical) {
@@ -1006,16 +1030,17 @@ Result<Value> Database::GetField(RecordId id, const std::string& field) const {
     return Status::NotFound("record " + std::to_string(id));
   }
   ++stats_.records_read;
-  const RecordTypeDef* type = schema_.FindRecordType(rec->type);
-  const FieldDef* f = type->FindField(field);
+  const BoundType* type = FindBound(binding_, rec->type);
+  if (type == nullptr) return Status::NotFound("record type " + rec->type);
+  const BoundField* f = FindBound(type->fields, field);
   if (f == nullptr) {
     return Status::NotFound("field " + rec->type + "." + field);
   }
   if (!f->is_virtual) {
-    auto it = rec->fields.find(ToUpper(f->name));
+    auto it = rec->fields.find(f->name);
     return it == rec->fields.end() ? Value() : it->second;
   }
-  RecordId owner = store_.OwnerOf(ToUpper(f->via_set), id);
+  RecordId owner = store_.OwnerOf(f->via_set, id);
   if (owner == 0 || owner == kSystemOwner) return Value();
   return GetField(owner, f->using_field);
 }
@@ -1025,11 +1050,12 @@ Result<FieldMap> Database::GetAllFields(RecordId id) const {
   if (rec == nullptr) {
     return Status::NotFound("record " + std::to_string(id));
   }
-  const RecordTypeDef* type = schema_.FindRecordType(rec->type);
+  const BoundType* type = FindBound(binding_, rec->type);
+  if (type == nullptr) return Status::NotFound("record type " + rec->type);
   FieldMap out;
-  for (const FieldDef& f : type->fields) {
+  for (const BoundField& f : type->fields) {
     DBPC_ASSIGN_OR_RETURN(Value v, GetField(id, f.name));
-    out[ToUpper(f.name)] = std::move(v);
+    out[f.name] = std::move(v);
   }
   return out;
 }

@@ -244,6 +244,23 @@ class Database {
  private:
   explicit Database(Schema schema) : schema_(std::move(schema)) {}
 
+  /// The schema's names as field reads resolve them, bound once by Create
+  /// from the validated schema: one BoundType per record type, in
+  /// declaration order, each with its fields in declaration order. Every
+  /// name is upper case. Values only, with no pointer into schema_ or
+  /// store_, so the implicit copy and move stay correct.
+  struct BoundField {
+    std::string name;
+    bool is_virtual = false;
+    /// Virtual fields only: the set to the owner, and the owner's field.
+    std::string via_set;
+    std::string using_field;
+  };
+  struct BoundType {
+    std::string name;
+    std::vector<BoundField> fields;
+  };
+
   /// One secondary access path over an actual field: canonical equality key
   /// -> live record ids ascending. For the probe shapes ProbeIndex accepts,
   /// bucket membership coincides exactly with QueryCompare equality.
@@ -319,6 +336,7 @@ class Database {
   Status EraseUnchecked(RecordId id);
 
   Schema schema_;
+  std::vector<BoundType> binding_;
   Store store_;
   /// constraint name -> serialized key -> record id.
   std::unordered_map<std::string, std::unordered_map<std::string, RecordId>>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -409,29 +410,32 @@ Result<std::vector<RecordId>> EvaluateFind(const Database& db,
 Result<std::vector<RecordId>> SortRecords(const Database& db,
                                           std::vector<RecordId> ids,
                                           const std::vector<std::string>& on) {
-  // Materialize sort keys first so comparator cannot fail mid-sort.
-  std::vector<std::pair<std::vector<Value>, RecordId>> keyed;
-  keyed.reserve(ids.size());
+  // Materialize sort keys first so comparator cannot fail mid-sort: row r's
+  // keys are keys[r * width, (r + 1) * width), and the stable sort permutes
+  // row numbers, so ties keep retrieval order.
+  const size_t width = on.size();
+  std::vector<Value> keys;
+  keys.reserve(ids.size() * width);
   for (RecordId id : ids) {
-    std::vector<Value> key;
-    key.reserve(on.size());
     for (const std::string& field : on) {
       DBPC_ASSIGN_OR_RETURN(Value v, db.GetField(id, field));
-      key.push_back(std::move(v));
+      keys.push_back(std::move(v));
     }
-    keyed.emplace_back(std::move(key), id);
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) {
-                     for (size_t i = 0; i < a.first.size(); ++i) {
-                       int cmp = a.first[i].Compare(b.first[i]);
-                       if (cmp != 0) return cmp < 0;
-                     }
-                     return false;
-                   });
+  std::vector<size_t> rows(ids.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+    const Value* ka = keys.data() + a * width;
+    const Value* kb = keys.data() + b * width;
+    for (size_t i = 0; i < width; ++i) {
+      int cmp = ka[i].Compare(kb[i]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
   std::vector<RecordId> out;
-  out.reserve(keyed.size());
-  for (const auto& [key, id] : keyed) out.push_back(id);
+  out.reserve(rows.size());
+  for (size_t r : rows) out.push_back(ids[r]);
   return out;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -558,6 +559,155 @@ TEST(DatabaseTest, GetAllFieldsIncludesVirtual) {
   EXPECT_EQ(all->at("DIV-NAME").as_string(), "MACHINERY");
   EXPECT_EQ(all->at("EMP-NAME").as_string(), "ADAMS");
   EXPECT_EQ(all->size(), 4u);
+}
+
+// A record whose stored type the schema lacks, as a raw store load can
+// leave one: reads and MODIFY name the type instead of dereferencing null.
+TEST(DatabaseTest, GetFieldOfUnknownRecordTypeIsNotFound) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId id = db.mutable_store().Insert("GHOST", {{"X", Value::Int(1)}});
+  Result<Value> v = db.GetField(id, "X");
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(v.status().message(), "record type GHOST");
+}
+
+TEST(DatabaseTest, GetAllFieldsOfUnknownRecordTypeIsNotFound) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId id = db.mutable_store().Insert("GHOST", {{"X", Value::Int(1)}});
+  Result<FieldMap> all = db.GetAllFields(id);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(all.status().message(), "record type GHOST");
+}
+
+TEST(DatabaseTest, ModifyOfUnknownRecordTypeIsNotFound) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId id = db.mutable_store().Insert("GHOST", {{"X", Value::Int(1)}});
+  Status s = db.ModifyRecord(id, {{"X", Value::Int(2)}});
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.message(), "record type GHOST");
+  EXPECT_EQ(db.raw_store().Get(id)->fields.at("X").as_int(), 1);
+}
+
+// --- the schema binding: Create resolves every name once ---
+
+/// Figure 4.4's shape: DIV MACHINERY owns DEPT SALES, which owns EMPs ADAMS
+/// and BAKER; EMP.DIV-NAME is virtual two sets away.
+Database MakeRevisedCompany() {
+  Database db = MakeDatabase(testing::CompanyRevisedDdl());
+  RecordId div = *db.StoreRecord({"DIV",
+                                  {{"DIV-NAME", Value::String("MACHINERY")},
+                                   {"DIV-LOC", Value::String("EAST")}},
+                                  {}});
+  RecordId dept = *db.StoreRecord(
+      {"DEPT", {{"DEPT-NAME", Value::String("SALES")}}, {{"DIV-DEPT", div}}});
+  for (const char* name : {"ADAMS", "BAKER"}) {
+    EXPECT_TRUE(db.StoreRecord({"EMP",
+                                {{"EMP-NAME", Value::String(name)},
+                                 {"AGE", Value::Int(30)}},
+                                {{"DEPT-EMP", dept}}})
+                    .ok());
+  }
+  return db;
+}
+
+TEST(DatabaseBindingTest, FieldNamesReadInAnyCase) {
+  Database db = MakeCompanyDatabase();
+  RecordId adams = db.Members("DIV-EMP", db.SystemMembers("ALL-DIV")[0])[0];
+  for (const char* spelling : {"EMP-NAME", "emp-name", "Emp-Name"}) {
+    Result<Value> v = db.GetField(adams, spelling);
+    ASSERT_TRUE(v.ok()) << spelling << ": " << v.status();
+    EXPECT_EQ(v->as_string(), "ADAMS") << spelling;
+  }
+  for (const char* spelling : {"DIV-NAME", "div-name", "Div-Name"}) {
+    Result<Value> v = db.GetField(adams, spelling);
+    ASSERT_TRUE(v.ok()) << spelling << ": " << v.status();
+    EXPECT_EQ(v->as_string(), "MACHINERY") << spelling;
+  }
+}
+
+TEST(DatabaseBindingTest, UnknownFieldKeepsItsErrorText) {
+  Database db = MakeCompanyDatabase();
+  RecordId emp = db.AllOfType("EMP")[0];
+  Result<Value> v = db.GetField(emp, "No-Such");
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(v.status().message(), "field EMP.No-Such");
+}
+
+TEST(DatabaseBindingTest, ChainedVirtualFieldReadsOneRecordPerLevel) {
+  Database db = MakeRevisedCompany();
+  RecordId adams = db.AllOfType("EMP")[0];
+  db.ResetStats();
+  Result<Value> v = db.GetField(adams, "div-name");
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->as_string(), "MACHINERY");
+  // EMP, then its DEPT-EMP owner, then that DEPT's DIV-DEPT owner.
+  EXPECT_EQ(db.stats().records_read, 3u);
+}
+
+TEST(DatabaseBindingTest, UnconnectedMemberReadsNull) {
+  Schema schema = MakeDatabase(testing::CompanyRevisedDdl()).schema();
+  for (const char* set : {"DIV-DEPT", "DEPT-EMP"}) {
+    schema.FindSet(set)->insertion = InsertionClass::kManual;
+    schema.FindSet(set)->retention = RetentionClass::kOptional;
+  }
+  Database db = *Database::Create(schema);
+  RecordId dept =
+      *db.StoreRecord({"DEPT", {{"DEPT-NAME", Value::String("SALES")}}, {}});
+  RecordId emp =
+      *db.StoreRecord({"EMP", {{"EMP-NAME", Value::String("X")}}, {}});
+  EXPECT_TRUE(db.GetField(emp, "DEPT-NAME")->is_null());
+  EXPECT_TRUE(db.GetField(emp, "div-name")->is_null());
+  // Connected to a DEPT that no DIV owns: the chain breaks one level up.
+  ASSERT_TRUE(db.Connect("DEPT-EMP", emp, dept).ok());
+  EXPECT_EQ(db.GetField(emp, "DEPT-NAME")->as_string(), "SALES");
+  EXPECT_TRUE(db.GetField(emp, "DIV-NAME")->is_null());
+}
+
+/// Every field of every record of `db`, read one by one.
+std::map<RecordId, FieldMap> ReadEveryField(const Database& db) {
+  std::map<RecordId, FieldMap> out;
+  for (RecordId id : db.raw_store().AllRecords()) {
+    Result<std::string> type = db.TypeOf(id);
+    EXPECT_TRUE(type.ok()) << type.status();
+    for (const FieldDef& f : db.schema().FindRecordType(*type)->fields) {
+      Result<Value> v = db.GetField(id, f.name);
+      EXPECT_TRUE(v.ok()) << id << "." << f.name << ": " << v.status();
+      if (v.ok()) out[id][f.name] = *v;
+    }
+  }
+  return out;
+}
+
+TEST(DatabaseBindingTest, CopiesAndMovesReadAfterTheOriginalIsGone) {
+  auto original = std::make_unique<Database>(MakeRevisedCompany());
+  const std::map<RecordId, FieldMap> expected = ReadEveryField(*original);
+  ASSERT_EQ(expected.size(), 4u);
+  Database copy = *original;
+  original.reset();
+  EXPECT_EQ(ReadEveryField(copy), expected);
+
+  auto source = std::make_unique<Database>(MakeRevisedCompany());
+  Database moved = std::move(*source);
+  source.reset();
+  EXPECT_EQ(ReadEveryField(moved), expected);
+  RecordId adams = moved.AllOfType("EMP")[0];
+  EXPECT_EQ(moved.GetField(adams, "DIV-NAME")->as_string(), "MACHINERY");
+}
+
+TEST(DatabaseBindingTest, LowerCaseStoredTypeStillReads) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId id = db.mutable_store().Insert(
+      "emp", {{"EMP-NAME", Value::String("X")}, {"AGE", Value::Int(3)}});
+  EXPECT_EQ(db.GetField(id, "AGE")->as_int(), 3);
+  EXPECT_EQ(db.GetField(id, "emp-name")->as_string(), "X");
+  EXPECT_TRUE(db.GetField(id, "DIV-NAME")->is_null());
+  Result<FieldMap> all = db.GetAllFields(id);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->size(), 4u);
+  EXPECT_EQ(db.GetField(id, "NO-SUCH").status().message(), "field emp.NO-SUCH");
 }
 
 }  // namespace

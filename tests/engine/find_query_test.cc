@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "testing/fixtures.h"
 
 namespace dbpc {
@@ -177,6 +187,213 @@ TEST(FindQueryTest, EvaluateUnresolvedQueryFails) {
   Result<std::vector<RecordId>> ids =
       EvaluateFind(db, query, EmptyHostEnv(), EmptyCollectionEnv());
   EXPECT_FALSE(ids.ok());
+}
+
+// --- SortRecords at a size where an unstable sort would show ---
+//
+// Below 16 elements std::sort is an insertion sort, which is stable, so
+// these cases sort 240 records. Each expectation sorts row numbers by
+// (key, row), a total order, so it does not lean on the stability it
+// checks.
+
+constexpr int kSortDivs = 4;
+constexpr int kSortEmpsPerDiv = 60;
+constexpr int kSortEmps = kSortDivs * kSortEmpsPerDiv;
+
+/// EMP-NAME of the i-th EMP stored: a permutation of E000..E239, so a
+/// division's retrieval order (by EMP-NAME) is not its store order.
+std::string SortEmpName(int i) {
+  char name[8];
+  std::snprintf(name, sizeof(name), "E%03d", (i * 37) % kSortEmps);
+  return name;
+}
+
+/// `ids` ordered by (key_of(id), position in `ids`).
+template <typename KeyOf>
+std::vector<RecordId> ExpectedSort(const std::vector<RecordId>& ids,
+                                   KeyOf key_of) {
+  std::vector<size_t> rows(ids.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  std::sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+    return std::make_pair(key_of(ids[a]), a) <
+           std::make_pair(key_of(ids[b]), b);
+  });
+  std::vector<RecordId> out;
+  for (size_t r : rows) out.push_back(ids[r]);
+  return out;
+}
+
+struct SortEmp {
+  std::optional<int64_t> age;
+  std::string dept;
+};
+
+/// kSortDivs divisions of kSortEmpsPerDiv EMPs. The i-th EMP stored has
+/// AGE 30, 40 or 50 by i % 3 (none when `null_age_every` divides i + 1) and
+/// one of three DEPT-NAMEs by (i / 2) % 3.
+Database MakeSortCompany(std::map<RecordId, SortEmp>* emps,
+                         int null_age_every = 0) {
+  static const char* kDepts[] = {"SALES", "PLANG", "ADMIN"};
+  Database db = testing::MakeDatabase(testing::CompanyDdl());
+  int i = 0;
+  for (int d = 0; d < kSortDivs; ++d) {
+    RecordId div = *db.StoreRecord(
+        {"DIV", {{"DIV-NAME", Value::String("DIV-" + std::to_string(d))}}, {}});
+    for (int e = 0; e < kSortEmpsPerDiv; ++e, ++i) {
+      SortEmp emp{std::nullopt, kDepts[(i / 2) % 3]};
+      StoreRequest request{"EMP",
+                           {{"EMP-NAME", Value::String(SortEmpName(i))},
+                            {"DEPT-NAME", Value::String(emp.dept)}},
+                           {{"DIV-EMP", div}}};
+      if (null_age_every == 0 || (i + 1) % null_age_every != 0) {
+        emp.age = 30 + 10 * (i % 3);
+        request.fields["AGE"] = Value::Int(*emp.age);
+      }
+      (*emps)[*db.StoreRecord(request)] = emp;
+    }
+  }
+  return db;
+}
+
+constexpr char kSortFind[] = "FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP)";
+
+TEST(SortRecordsTest, TiesKeepRetrievalOrder) {
+  std::map<RecordId, SortEmp> emps;
+  Database db = MakeSortCompany(&emps);
+  Result<std::vector<RecordId>> found = RunFind(db, kSortFind);
+  Result<std::vector<RecordId>> sorted =
+      RunFind(db, std::string("SORT(") + kSortFind + ") ON (AGE)");
+  ASSERT_TRUE(found.ok()) << found.status();
+  ASSERT_TRUE(sorted.ok()) << sorted.status();
+  ASSERT_EQ(found->size(), static_cast<size_t>(kSortEmps));
+  EXPECT_FALSE(std::is_sorted(found->begin(), found->end()));
+  std::vector<RecordId> expected;
+  for (int64_t age : {30, 40, 50}) {
+    for (RecordId id : *found) {
+      if (emps[id].age == age) expected.push_back(id);
+    }
+  }
+  EXPECT_EQ(*sorted, expected);
+}
+
+TEST(SortRecordsTest, TwoKeysSortLexicographically) {
+  std::map<RecordId, SortEmp> emps;
+  Database db = MakeSortCompany(&emps);
+  Result<std::vector<RecordId>> found = RunFind(db, kSortFind);
+  Result<std::vector<RecordId>> sorted = RunFind(
+      db, std::string("SORT(") + kSortFind + ") ON (DEPT-NAME, AGE)");
+  ASSERT_TRUE(found.ok()) << found.status();
+  ASSERT_TRUE(sorted.ok()) << sorted.status();
+  EXPECT_EQ(*sorted, ExpectedSort(*found, [&](RecordId id) {
+              return std::make_pair(emps[id].dept, *emps[id].age);
+            }));
+}
+
+TEST(SortRecordsTest, NullKeysSortFirst) {
+  std::map<RecordId, SortEmp> emps;
+  Database db = MakeSortCompany(&emps, /*null_age_every=*/5);
+  Result<std::vector<RecordId>> found = RunFind(db, kSortFind);
+  Result<std::vector<RecordId>> sorted =
+      RunFind(db, std::string("SORT(") + kSortFind + ") ON (AGE)");
+  ASSERT_TRUE(found.ok()) << found.status();
+  ASSERT_TRUE(sorted.ok()) << sorted.status();
+  std::vector<RecordId> expected = ExpectedSort(*found, [&](RecordId id) {
+    return std::make_pair(emps[id].age.has_value(), emps[id].age.value_or(0));
+  });
+  EXPECT_EQ(*sorted, expected);
+  EXPECT_FALSE(emps[sorted->front()].age.has_value());
+}
+
+TEST(SortRecordsTest, NumbersCompareAcrossIntAndDouble) {
+  Database db = testing::MakeDatabase(testing::CompanyDdl());
+  // Stored past StoreRecord's coercion, so AGE holds ints, doubles equal to
+  // one of those ints, doubles between them, strings and nulls. Value's
+  // order ranks null < number < string and compares int with double
+  // numerically.
+  std::vector<RecordId> ids;
+  std::map<RecordId, std::tuple<int, double, std::string>> keys;
+  for (int i = 0; i < kSortEmps; ++i) {
+    const int n = (i * 11) % 7;
+    Value age;
+    std::tuple<int, double, std::string> key{0, 0.0, ""};
+    switch (i % 5) {
+      case 0:
+        age = Value::Int(n);
+        key = {1, n, ""};
+        break;
+      case 1:
+        age = Value::Double(n);
+        key = {1, n, ""};
+        break;
+      case 2:
+        age = Value::Double(n + 0.5);
+        key = {1, n + 0.5, ""};
+        break;
+      case 3:
+        age = Value::String(std::to_string(n));
+        key = {2, 0.0, std::to_string(n)};
+        break;
+      default:
+        break;  // null
+    }
+    RecordId id = db.mutable_store().Insert(
+        "EMP", {{"EMP-NAME", Value::String(SortEmpName(i))}, {"AGE", age}});
+    ids.push_back(id);
+    keys[id] = key;
+  }
+  Result<std::vector<RecordId>> sorted = SortRecords(db, ids, {"AGE"});
+  ASSERT_TRUE(sorted.ok()) << sorted.status();
+  EXPECT_EQ(*sorted, ExpectedSort(ids, [&](RecordId id) { return keys[id]; }));
+}
+
+TEST(SortRecordsTest, KeyReadThroughChainedVirtualField) {
+  // Figure 4.4: EMP.DIV-NAME is DEPT.DIV-NAME, itself DIV.DIV-NAME.
+  Database db = testing::MakeDatabase(testing::CompanyRevisedDdl());
+  std::map<RecordId, std::pair<std::string, std::string>> keys;
+  int i = 0;
+  for (int d = 0; d < kSortDivs; ++d) {
+    std::string div_name = "DIV-" + std::to_string(d);
+    RecordId div = *db.StoreRecord(
+        {"DIV", {{"DIV-NAME", Value::String(div_name)}}, {}});
+    for (const char* dept_name : {"PLANG", "SALES"}) {
+      RecordId dept = *db.StoreRecord({"DEPT",
+                                       {{"DEPT-NAME", Value::String(dept_name)}},
+                                       {{"DIV-DEPT", div}}});
+      for (int e = 0; e < kSortEmpsPerDiv / 2; ++e, ++i) {
+        RecordId emp = *db.StoreRecord(
+            {"EMP",
+             {{"EMP-NAME", Value::String(SortEmpName(i))},
+              {"AGE", Value::Int(30)}},
+             {{"DEPT-EMP", dept}}});
+        keys[emp] = {div_name, SortEmpName(i)};
+      }
+    }
+  }
+  const std::string find =
+      "FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-DEPT, DEPT, DEPT-EMP, EMP)";
+  Result<std::vector<RecordId>> found = RunFind(db, find);
+  Result<std::vector<RecordId>> sorted =
+      RunFind(db, "SORT(" + find + ") ON (DIV-NAME, EMP-NAME)");
+  ASSERT_TRUE(found.ok()) << found.status();
+  ASSERT_TRUE(sorted.ok()) << sorted.status();
+  ASSERT_EQ(found->size(), static_cast<size_t>(kSortEmps));
+  std::vector<RecordId> expected =
+      ExpectedSort(*found, [&](RecordId id) { return keys[id]; });
+  EXPECT_NE(*found, expected);
+  EXPECT_EQ(*sorted, expected);
+}
+
+TEST(SortRecordsTest, UnknownFieldReturnsGetFieldsError) {
+  std::map<RecordId, SortEmp> emps;
+  Database db = MakeSortCompany(&emps);
+  std::vector<RecordId> ids = db.AllOfType("EMP");
+  Result<std::vector<RecordId>> sorted =
+      SortRecords(db, ids, {"AGE", "NO-SUCH"});
+  ASSERT_FALSE(sorted.ok());
+  Status read = db.GetField(ids.front(), "NO-SUCH").status();
+  EXPECT_EQ(sorted.status().code(), read.code());
+  EXPECT_EQ(sorted.status().message(), read.message());
+  EXPECT_EQ(read.message(), "field EMP.NO-SUCH");
 }
 
 TEST(PredicateTest, AndOrNotEvaluation) {

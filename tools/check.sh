@@ -2,10 +2,10 @@
 # One-command verification: the tier-1 build + test suite, one fuzz sweep
 # over every differential axis plus the regression corpus, bench smokes and
 # a dbpcd end-to-end smoke, then the concurrency-sensitive service and
-# daemon tests again under ThreadSanitizer, the storage, engine, dump,
-# data-copy, transformation, facade and wire-facing tests under
-# AddressSanitizer, and the store, database, index and wire-facing tests
-# under UndefinedBehaviorSanitizer.
+# daemon tests again under ThreadSanitizer, the storage, engine, sorting,
+# dump, data-copy, transformation, facade and wire-facing tests under
+# AddressSanitizer, and the store, database, index, sorting, relational and
+# wire-facing tests under UndefinedBehaviorSanitizer.
 #
 #   tools/check.sh [jobs]
 #
@@ -154,18 +154,22 @@ WIRE_TESTS="protocol_test sock_buffer_test daemon_options_test daemon_test
 # which store helper records into a target the bulk engine holds set
 # linkers and record pointers into. The interpreter, CODASYL machine,
 # hierarchical and relational tests erase through the engine into the
-# store's tombstoned per-type directory, which they walk afterwards.
+# store's tombstoned per-type directory, which they walk afterwards. The
+# find-query and value-join tests sort and read keys through SortRecords'
+# flat key array, indexed by row times key count.
 echo "== asan: storage, engine, copy, transformation, facade and wire tests under -DDBPC_SANITIZE=address (build-asan/) =="
 cmake -B build-asan -S . -DDBPC_SANITIZE=address >/dev/null
 # shellcheck disable=SC2086  # WIRE_TESTS is a word list
 cmake --build build-asan -j "$JOBS" \
   --target store_test extent_test database_test index_test bulk_load_test \
-           textio_test data_copy_test transformation_test split_test \
+           textio_test find_query_test value_join_test data_copy_test \
+           transformation_test split_test \
            interpreter_test interpreter_edge_test machine_test \
            hierarchical_test relational_test $WIRE_TESTS
 (cd build-asan/tests/storage && ./store_test && ./extent_test)
 (cd build-asan/tests/engine && ./database_test && ./index_test \
-  && ./bulk_load_test && ./textio_test)
+  && ./bulk_load_test && ./textio_test && ./find_query_test \
+  && ./value_join_test)
 (cd build-asan/tests/restructure && ./data_copy_test \
   && ./transformation_test && ./split_test)
 (cd build-asan/tests/lang && ./interpreter_test && ./interpreter_edge_test)
@@ -176,14 +180,19 @@ cmake --build build-asan -j "$JOBS" \
 
 # The store packs a tombstone into a directory entry's top bit; the store,
 # database and index tests erase through it, so UBSan checks those shifts
-# and masks as well as the wire parsers.
-echo "== ubsan: store, database, index and wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
+# and masks as well as the wire parsers. The find-query, value-join and
+# relational tests (ORDER BY shares SortRecords) index the sort's flat key
+# array by row times key count.
+echo "== ubsan: store, database, index, sorting, relational and wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
 cmake -B build-ubsan -S . -DDBPC_SANITIZE=undefined >/dev/null
 # shellcheck disable=SC2086  # WIRE_TESTS is a word list
 cmake --build build-ubsan -j "$JOBS" \
-  --target store_test database_test index_test $WIRE_TESTS
+  --target store_test database_test index_test find_query_test \
+           value_join_test relational_test $WIRE_TESTS
 (cd build-ubsan/tests/storage && ./store_test)
-(cd build-ubsan/tests/engine && ./database_test && ./index_test)
+(cd build-ubsan/tests/engine && ./database_test && ./index_test \
+  && ./find_query_test && ./value_join_test)
+(cd build-ubsan/tests/relational && ./relational_test)
 (cd build-ubsan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
 
 echo "== check.sh: all green =="
