@@ -54,8 +54,13 @@ Result<Value> Value::CoerceTo(FieldType type) const {
       }
       if (is_double()) {
         double d = as_double();
-        int64_t i = static_cast<int64_t>(d);
-        if (static_cast<double>(i) == d) return Value::Int(i);
+        // Cast only inside int64's range [-2^63, 2^63): NaN, the infinities
+        // and larger magnitudes have no int64 image, and casting them is
+        // undefined behaviour.
+        if (d >= -0x1p63 && d < 0x1p63) {
+          int64_t i = static_cast<int64_t>(d);
+          if (static_cast<double>(i) == d) return Value::Int(i);
+        }
       }
       break;
     case FieldType::kString:

@@ -19,6 +19,10 @@ Result<Database> Database::Create(Schema schema) {
                               ToUpper(f.via_set), ToUpper(f.using_field)});
     }
   }
+  for (const SetDef& set : db.schema_.sets()) {
+    db.bound_sets_.push_back(
+        {ToUpper(set.name), SortedSetBisects(db.schema_, set)});
+  }
   db.RegisterAutoIndexes();
   return db;
 }
@@ -91,17 +95,50 @@ bool UniqueProbeUsable(FieldType type, const Value& v) {
   return false;
 }
 
-void SortedInsert(std::vector<RecordId>* ids, RecordId id) {
-  auto pos = std::lower_bound(ids->begin(), ids->end(), id);
-  if (pos == ids->end() || *pos != id) ids->insert(pos, id);
-}
-
-void SortedErase(std::vector<RecordId>* ids, RecordId id) {
-  auto pos = std::lower_bound(ids->begin(), ids->end(), id);
-  if (pos != ids->end() && *pos == id) ids->erase(pos);
-}
-
 }  // namespace
+
+std::vector<RecordId> Database::FieldIndex::Bucket::Ids() const {
+  std::vector<RecordId> ids;
+  ids.reserve(size());
+  ids.push_back(first);
+  ids.insert(ids.end(), more.begin(), more.end());
+  return ids;
+}
+
+void Database::FieldIndex::Insert(std::string key, RecordId id) {
+  auto [it, added] = buckets.try_emplace(std::move(key), id);
+  if (added) return;
+  Bucket& bucket = it->second;
+  if (id == bucket.first) return;
+  // A smaller id takes the inline slot; the old one then joins `more`,
+  // below every id there.
+  if (id < bucket.first) std::swap(id, bucket.first);
+  std::vector<RecordId>& more = bucket.more;
+  if (more.empty() || more.back() < id) {
+    more.push_back(id);
+    return;
+  }
+  auto pos = std::lower_bound(more.begin(), more.end(), id);
+  if (*pos != id) more.insert(pos, id);
+}
+
+void Database::FieldIndex::Erase(const std::string& key, RecordId id) {
+  auto it = buckets.find(key);
+  if (it == buckets.end()) return;
+  Bucket& bucket = it->second;
+  std::vector<RecordId>& more = bucket.more;
+  if (id != bucket.first) {
+    auto pos = std::lower_bound(more.begin(), more.end(), id);
+    if (pos != more.end() && *pos == id) more.erase(pos);
+    return;
+  }
+  if (more.empty()) {
+    buckets.erase(it);
+    return;
+  }
+  bucket.first = more.front();
+  more.erase(more.begin());
+}
 
 void Database::RegisterAutoIndexes() {
   // Uniqueness probe paths first: a single-field uniqueness constraint
@@ -130,7 +167,8 @@ void Database::RegisterAutoIndexes() {
     if (unique_probes_.count(key) > 0) return;
     field_indexes_[key].numeric = f->type != FieldType::kString;
   };
-  // Set key fields: SortedPosition and sorted-set queries select on them.
+  // Set key fields: FIND qualifications select members on them (placement
+  // itself reads the occurrence, not the index).
   for (const SetDef& set : schema_.sets()) {
     const RecordTypeDef* member = schema_.FindRecordType(set.member);
     if (member == nullptr) continue;
@@ -165,7 +203,7 @@ void Database::IndexInsert(const StoredRecord& rec) {
       ++it->second.unusable;
       continue;
     }
-    SortedInsert(&it->second.buckets[*key], rec.id);
+    it->second.Insert(std::move(*key), rec.id);
   }
   for (auto it = unique_probes_.lower_bound(prefix);
        it != unique_probes_.end() &&
@@ -193,10 +231,7 @@ void Database::IndexRemove(const StoredRecord& rec) {
       if (it->second.unusable > 0) --it->second.unusable;
       continue;
     }
-    auto bucket = it->second.buckets.find(*key);
-    if (bucket == it->second.buckets.end()) continue;
-    SortedErase(&bucket->second, rec.id);
-    if (bucket->second.empty()) it->second.buckets.erase(bucket);
+    it->second.Erase(*key, rec.id);
   }
   for (auto it = unique_probes_.lower_bound(prefix);
        it != unique_probes_.end() &&
@@ -250,7 +285,7 @@ std::optional<std::vector<RecordId>> Database::ProbeIndex(
   auto bucket = index->buckets.find(*key);
   if (bucket == index->buckets.end()) return std::vector<RecordId>();
   stats_.index_hits += bucket->second.size();
-  return bucket->second;
+  return bucket->second.Ids();
 }
 
 std::optional<std::vector<RecordId>> Database::ProbeUnique(
@@ -312,7 +347,9 @@ bool Database::EnsureFieldIndex(const std::string& type,
   FieldIndex& index =
       field_indexes_[FieldIndexKey(type_upper, field_upper)];
   index.numeric = f->type != FieldType::kString;
-  for (RecordId id : store_.OfType(type_upper)) {
+  const Store::TypeView rows = store_.OfType(type_upper);
+  index.buckets.reserve(rows.size());
+  for (RecordId id : rows) {
     const StoredRecord* rec = store_.Get(id);
     auto fit = rec->fields.find(field_upper);
     if (fit == rec->fields.end() || fit->second.is_null()) continue;
@@ -322,8 +359,8 @@ bool Database::EnsureFieldIndex(const std::string& type,
       ++index.unusable;
       continue;
     }
-    // OfType is ascending, so appending keeps buckets sorted.
-    index.buckets[*key].push_back(id);
+    // OfType is ascending, so every Insert appends.
+    index.Insert(std::move(*key), id);
   }
   return true;
 }
@@ -360,8 +397,8 @@ void Database::RebuildIndexes() {
   // schema) type string — true for anything StoreRecord or BulkLoad ever
   // inserted — rebuild type by type from the ascending id directories,
   // with the per-type index, probe, and constraint lookups hoisted out of
-  // the record loop. Appending to buckets in directory order keeps them
-  // sorted without per-record insertion sorts.
+  // the record loop. Each index is sized for its type's rows up front, and
+  // inserting in directory order appends to every bucket.
   size_t covered = 0;
   for (const RecordTypeDef& type : schema_.record_types()) {
     covered += store_.OfType(ToUpper(type.name)).size();
@@ -400,7 +437,14 @@ void Database::RebuildIndexes() {
         }
       }
       if (secondary.empty() && probes.empty() && uniques.empty()) continue;
-      for (RecordId id : store_.OfType(type_upper)) {
+      const Store::TypeView rows = store_.OfType(type_upper);
+      for (SecondaryTarget& target : secondary) {
+        target.index->buckets.reserve(rows.size());
+      }
+      for (const ConstraintDef* c : uniques) {
+        unique_index_[c->name].reserve(rows.size());
+      }
+      for (RecordId id : rows) {
         const StoredRecord* rec = store_.Get(id);
         for (auto& target : secondary) {
           auto fit = rec->fields.find(target.field);
@@ -411,7 +455,7 @@ void Database::RebuildIndexes() {
             ++target.index->unusable;
             continue;
           }
-          target.index->buckets[*key].push_back(id);
+          target.index->Insert(std::move(*key), id);
         }
         for (auto& target : probes) {
           auto fit = rec->fields.find(target.field);
@@ -665,7 +709,22 @@ Result<RecordId> Database::StoreRecord(const StoreRequest& request) {
   return id;
 }
 
+bool SortedSetBisects(const Schema& schema, const SetDef& set) {
+  if (set.ordering != SetOrdering::kSortedByKeys) return false;
+  const RecordTypeDef* member = schema.FindRecordType(set.member);
+  if (member == nullptr) return false;
+  for (const std::string& key : set.keys) {
+    const FieldDef* f = member->FindField(key);
+    if (f == nullptr || f->type == FieldType::kDouble ||
+        !f->default_value.Matches(f->type)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<size_t> SortedSetPosition(const Store& store, const SetDef& set,
+                                 bool bisect,
                                  const std::vector<RecordId>& members,
                                  RecordId member, const FieldMap* new_fields,
                                  OpStats* stats) {
@@ -686,33 +745,62 @@ Result<size_t> SortedSetPosition(const Store& store, const SetDef& set,
     keys.push_back(
         {std::move(name), it == fields.end() ? &kAbsent : &it->second});
   }
-  size_t pos = 0;
-  for (RecordId existing : members) {
-    if (new_fields != nullptr && existing == member) continue;
-    const FieldMap& other = store.Get(existing)->fields;
-    if (stats != nullptr) {
-      ++stats->members_scanned;
-      stats->records_read += 2;
-    }
+  // The occurrence without a re-placed member's own entry: entry i is
+  // members[i] before that entry and members[i + 1] from it on.
+  const size_t skip =
+      new_fields == nullptr
+          ? members.size()
+          : static_cast<size_t>(
+                std::find(members.begin(), members.end(), member) -
+                members.begin());
+  const size_t n = members.size() - (skip < members.size() ? 1 : 0);
+  // Entry i's key against the member's.
+  auto compare = [&](size_t i) {
+    const FieldMap& other = store.Get(members[i < skip ? i : i + 1])->fields;
     int cmp = 0;
     for (size_t k = 0; k < keys.size() && cmp == 0; ++k) {
       auto it = other.find(keys[k].name);
       cmp = (it == other.end() ? kAbsent : it->second).Compare(*keys[k].value);
     }
-    if (cmp == 0) {
-      return Status::ConstraintViolation(
-          "duplicate set key in occurrence of " + set.name);
+    return cmp;
+  };
+  // p: the first entry whose key is not less than the member's, or n;
+  // cmp_p: that entry's comparison.
+  size_t p = 0;
+  int cmp_p = 1;
+  if (bisect) {
+    size_t hi = n;
+    while (p < hi) {
+      const size_t mid = p + (hi - p) / 2;
+      const int cmp = compare(mid);
+      if (cmp < 0) {
+        p = mid + 1;
+      } else {
+        hi = mid;
+        cmp_p = cmp;
+      }
     }
-    if (cmp > 0) break;
-    ++pos;
+  } else {
+    while (p < n && (cmp_p = compare(p)) < 0) ++p;
   }
-  return pos;
+  if (stats != nullptr) {
+    // What the scan compares: entries 0..p, or all n when p == n.
+    const uint64_t scanned = std::min(p + 1, n);
+    stats->members_scanned += scanned;
+    stats->records_read += 2 * scanned;
+  }
+  if (p < n && cmp_p == 0) {
+    return Status::ConstraintViolation(
+        "duplicate set key in occurrence of " + set.name);
+  }
+  return p;
 }
 
 Result<size_t> Database::SortedPosition(const SetDef& set, RecordId owner,
                                         RecordId member,
                                         const FieldMap* new_fields) const {
-  return SortedSetPosition(store_, set,
+  const BoundSet* bound = FindBound(bound_sets_, set.name);
+  return SortedSetPosition(store_, set, bound != nullptr && bound->bisect,
                            store_.Members(ToUpper(set.name), owner), member,
                            new_fields, &stats_);
 }

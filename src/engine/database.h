@@ -36,19 +36,40 @@ struct OpStats {
   }
 };
 
+/// Whether SortedSetPosition may bisect the occurrences of `set`: every
+/// key field of the member type is declared INT or STRING, with a default
+/// that is null or of that type. Every value the engine and the copy
+/// engines store in such a field is then an int, a string or null, which
+/// Value::Compare orders totally, so each occurrence they build stays in
+/// ascending key order. A DOUBLE key keeps the scan: NaN compares equal to
+/// every number, so an occurrence with a NaN in a key that is not the last
+/// need not be in order. Decide this once per set, not per placement.
+bool SortedSetBisects(const Schema& schema, const SetDef& set);
+
 /// Position at which `member` belongs among `members`, the member list of
-/// one occurrence of `set` (paper section 4.2): a linear scan that stops at
-/// the first member whose key is greater, failing on a duplicate full key.
-/// Chronological sets append. The set's upper-cased key names and the new
-/// member's key values are resolved once; each existing member is read
-/// through `store` (which promotes a columnar row) and compared in place,
-/// charging `stats` (when non-null) one members_scanned and two
-/// records_read. The member's key values come from `new_fields` when given
-/// — `member` is then being re-placed and its own entry in `members` is
-/// passed over — and otherwise from its stored record, read only when there
-/// is a member to compare against. The engine and both copy engines place
-/// sorted members through this one function.
+/// one occurrence of `set` (paper section 4.2): before the first member
+/// whose key is not less than the member's, failing when that key is
+/// equal (a duplicate full key). Chronological sets append. The set's
+/// upper-cased key names and the new member's key values are resolved
+/// once; existing members are read through `store` (which promotes a
+/// columnar row) and compared in place. The member's key values come from
+/// `new_fields` when given — `member` is then being re-placed and its own
+/// entry in `members` is passed over — and otherwise from its stored
+/// record, read only when there is a member to compare against.
+///
+/// With `bisect` (SortedSetBisects' answer for `set`) the occurrence is
+/// taken to be in ascending key order and that member is found by
+/// bisection; otherwise by a scan in member order. Either way `stats`
+/// (when non-null) is charged as the scan would be: with p the position
+/// and n the occurrence's size without a re-placed member, min(p + 1, n)
+/// members_scanned, or p + 1 on a duplicate at p, and two records_read
+/// per members_scanned. Values written through `Database::mutable_store()`
+/// or `Database::BulkLoad` that contradict their field's declared type are
+/// outside the ordering guarantee, as they are outside constraint
+/// enforcement. The engine and both copy engines place sorted members
+/// through this one function.
 Result<size_t> SortedSetPosition(const Store& store, const SetDef& set,
+                                 bool bisect,
                                  const std::vector<RecordId>& members,
                                  RecordId member, const FieldMap* new_fields,
                                  OpStats* stats);
@@ -246,9 +267,10 @@ class Database {
 
   /// The schema's names as field reads resolve them, bound once by Create
   /// from the validated schema: one BoundType per record type, in
-  /// declaration order, each with its fields in declaration order. Every
-  /// name is upper case. Values only, with no pointer into schema_ or
-  /// store_, so the implicit copy and move stay correct.
+  /// declaration order, each with its fields in declaration order, and one
+  /// BoundSet per set. Every name is upper case. Values only, with no
+  /// pointer into schema_ or store_, so the implicit copy and move stay
+  /// correct.
   struct BoundField {
     std::string name;
     bool is_virtual = false;
@@ -260,11 +282,35 @@ class Database {
     std::string name;
     std::vector<BoundField> fields;
   };
+  /// One set, in declaration order: whether its placements bisect
+  /// (SortedSetBisects, decided here once).
+  struct BoundSet {
+    std::string name;
+    bool bisect = false;
+  };
 
   /// One secondary access path over an actual field: canonical equality key
   /// -> live record ids ascending. For the probe shapes ProbeIndex accepts,
   /// bucket membership coincides exactly with QueryCompare equality.
   struct FieldIndex {
+    /// The ids under one key, ascending: the smallest inline in `first`,
+    /// the others in `more`. A key held by one record (most keys of a
+    /// near-unique field such as a set key) costs its map node and no
+    /// vector; a low-cardinality key keeps one sorted vector. A bucket is
+    /// never empty: the key is dropped with its last id.
+    struct Bucket {
+      explicit Bucket(RecordId id) : first(id) {}
+      size_t size() const { return 1 + more.size(); }
+      std::vector<RecordId> Ids() const;
+      RecordId first;
+      std::vector<RecordId> more;
+    };
+    /// Adds `id` under `key` (a no-op when already there); appending an id
+    /// above every other under the key costs no search.
+    void Insert(std::string key, RecordId id);
+    /// Removes `id` from under `key`, dropping the key with its last id.
+    void Erase(const std::string& key, RecordId id);
+
     /// Field declared INT/DOUBLE: keys are canonical "%.17g" renderings of
     /// the value-as-double (QueryCompare's equality classes). String
     /// fields key on the exact text.
@@ -274,7 +320,7 @@ class Database {
     /// whose dynamic type contradicts the declared field type can match
     /// across keys). Probes are refused while nonzero.
     uint64_t unusable = 0;
-    std::unordered_map<std::string, std::vector<RecordId>> buckets;
+    std::unordered_map<std::string, Bucket> buckets;
   };
 
   /// A single-field uniqueness constraint whose unique_index_ doubles as an
@@ -318,8 +364,9 @@ class Database {
       const std::string& type, const Predicate& pred,
       const HostEnv& host_env) const;
 
-  /// SortedSetPosition over `set`'s occurrence of `owner`, charged to the
-  /// engine's OpStats. `new_fields` re-places an already linked member.
+  /// SortedSetPosition over `set`'s occurrence of `owner`, bisecting as
+  /// the set's BoundSet says, charged to the engine's OpStats.
+  /// `new_fields` re-places an already linked member.
   Result<size_t> SortedPosition(const SetDef& set, RecordId owner,
                                 RecordId member,
                                 const FieldMap* new_fields = nullptr) const;
@@ -337,6 +384,7 @@ class Database {
 
   Schema schema_;
   std::vector<BoundType> binding_;
+  std::vector<BoundSet> bound_sets_;
   Store store_;
   /// constraint name -> serialized key -> record id.
   std::unordered_map<std::string, std::unordered_map<std::string, RecordId>>

@@ -328,6 +328,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
       bool system_owned;
       bool must_connect;
       bool chronological;
+      bool bisect;  // SortedSetBisects, decided once per target set
       // One-entry caches serving the long owner runs of bulk loads.
       RecordId last_valid_owner = 0;  // already passed the type check
       std::optional<Store::BulkLinker> linker;  // created on first link
@@ -339,6 +340,7 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
       info.name_upper = ToUpper(set->name);
       info.system_owned = set->system_owned();
       info.chronological = set->ordering == SetOrdering::kChronological;
+      info.bisect = SortedSetBisects(target_schema, *set);
       info.must_connect = set->insertion == InsertionClass::kAutomatic;
       for (const ConstraintDef& c : target_schema.constraints()) {
         if (c.kind == ConstraintKind::kExistence &&
@@ -939,24 +941,25 @@ Result<std::map<RecordId, RecordId>> CopyDatabaseBulk(const Database& source,
       for (size_t li = link_begin; li < link_end; ++li) {
         const PlannedLink& link = staged_links[li];
         TargetSetInfo& set_info = *link.info;
+        // The set's linker, sized once for the type's rows, stands in for
+        // the store's Link and Members; its owner cache serves the long
+        // owner runs of a copy.
+        if (!set_info.linker.has_value()) {
+          set_info.linker.emplace(
+              store.LinkerFor(set_info.name_upper, staged_rows));
+        }
+        Store::BulkLinker& linker = *set_info.linker;
         Status s;
         if (set_info.chronological) {
           // Chronological insertion is a pure append (SortedSetPosition
-          // returns members.size() with no key scan), so the bound bulk
-          // linker is an exact, occurrence-table-free equivalent.
-          if (!set_info.linker.has_value()) {
-            set_info.linker.emplace(
-                store.LinkerFor(set_info.name_upper, staged_rows));
-          }
-          s = set_info.linker->LinkLast(link.owner, new_id);
+          // returns members.size() with no key scan).
+          s = linker.LinkLast(link.owner, new_id);
         } else {
           Result<size_t> pos = SortedSetPosition(
-              store, *set_info.set,
-              store.Members(set_info.name_upper, link.owner), new_id,
+              store, *set_info.set, set_info.bisect,
+              linker.Members(link.owner), new_id,
               /*new_fields=*/nullptr, /*stats=*/nullptr);
-          s = pos.ok() ? store.Link(set_info.name_upper, link.owner, new_id,
-                                    *pos)
-                       : pos.status();
+          s = pos.ok() ? linker.Link(link.owner, new_id, *pos) : pos.status();
         }
         if (!s.ok()) {
           // Roll back: unlink what was linked, drop this row and the tail.

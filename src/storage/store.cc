@@ -218,8 +218,25 @@ Status Store::Unlink(const std::string& set_name, RecordId member) {
                             " not a member of " + set_name);
   }
   std::vector<RecordId>& members = idx.members_of[it->second];
-  members.erase(std::remove(members.begin(), members.end(), member),
-                members.end());
+  // Bisect as if the ids were ascending. Written out by hand because
+  // std::lower_bound requires a sorted range, and a list out of id order
+  // (a reconnected member, key order unlike id order) is legal here: there
+  // the bisection may miss, and the scan finds the member instead.
+  size_t lo = 0;
+  size_t hi = members.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (members[mid] < member) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  auto pos = members.begin() + static_cast<ptrdiff_t>(lo);
+  if (lo == members.size() || *pos != member) {
+    pos = std::find(members.begin(), members.end(), member);
+  }
+  if (pos != members.end()) members.erase(pos);
   idx.owner_of.erase(it);
   return Status::OK();
 }

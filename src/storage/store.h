@@ -182,34 +182,49 @@ class Store {
   Status LinkLast(const std::string& set_name, RecordId owner,
                   RecordId member);
 
-  /// Unlinks `member` from its occurrence of `set_name`.
+  /// Unlinks `member` from its occurrence of `set_name`. The member is
+  /// found by bisecting the member list by id, which lands on it whenever
+  /// the list is in ascending id order (appends and copies leave most
+  /// occurrences so); otherwise a scan finds it. Member order is kept.
   Status Unlink(const std::string& set_name, RecordId member);
 
-  /// Append-only bulk linker bound to one set: the set index is resolved
-  /// once instead of per link, and repeat owners (bulk loads link long
-  /// owner runs) hit a one-entry cache instead of the occurrence table.
-  /// LinkLast semantics, including the already-a-member failure.
+  /// Bulk linker bound to one set: the set index is resolved once instead
+  /// of per link, and repeat owners (bulk loads link long owner runs) hit a
+  /// one-entry cache instead of the occurrence table. `Link` and
+  /// `LinkLast` have the store's semantics, including the
+  /// already-a-member failure.
   class BulkLinker {
    public:
-    Status LinkLast(RecordId owner, RecordId member) {
-      auto [it, inserted] = idx_->owner_of.emplace(member, owner);
-      (void)it;
-      if (!inserted) {
+    Status Link(RecordId owner, RecordId member, size_t position) {
+      if (!idx_->owner_of.emplace(member, owner).second) {
         return Status::AlreadyExists("record " + std::to_string(member) +
                                      " already a member of " + set_name_);
       }
-      if (cached_members_ == nullptr || owner != cached_owner_) {
-        cached_owner_ = owner;
-        cached_members_ = &idx_->members_of[owner];
-      }
-      cached_members_->push_back(member);
+      std::vector<RecordId>& members = Occurrence(owner);
+      if (position > members.size()) position = members.size();
+      members.insert(members.begin() + static_cast<ptrdiff_t>(position),
+                     member);
       return Status::OK();
+    }
+    Status LinkLast(RecordId owner, RecordId member) {
+      return Link(owner, member, SIZE_MAX);
+    }
+    /// Ordered members of `owner`'s occurrence, like `Store::Members`.
+    const std::vector<RecordId>& Members(RecordId owner) {
+      return Occurrence(owner);
     }
 
    private:
     friend class Store;
     BulkLinker(SetIndex* idx, std::string set_name)
         : idx_(idx), set_name_(std::move(set_name)) {}
+    std::vector<RecordId>& Occurrence(RecordId owner) {
+      if (cached_members_ == nullptr || owner != cached_owner_) {
+        cached_owner_ = owner;
+        cached_members_ = &idx_->members_of[owner];
+      }
+      return *cached_members_;
+    }
     SetIndex* idx_;
     std::string set_name_;
     RecordId cached_owner_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 namespace dbpc {
 namespace {
 
@@ -104,6 +107,24 @@ TEST(FieldTypeTest, Names) {
   EXPECT_STREQ(FieldTypeName(FieldType::kInt), "INT");
   EXPECT_STREQ(FieldTypeName(FieldType::kDouble), "DOUBLE");
   EXPECT_STREQ(FieldTypeName(FieldType::kString), "STRING");
+}
+
+TEST(ValueTest, CoerceDoubleOutsideInt64RangeToIntIsTypeError) {
+  // Checked before any cast: casting these to int64 is undefined.
+  const double kTwo63 = 9223372036854775808.0;  // 2^63
+  for (double d : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e19, -1e19, kTwo63}) {
+    Result<Value> r = Value::Double(d).CoerceTo(FieldType::kInt);
+    ASSERT_FALSE(r.ok()) << d;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << d;
+    EXPECT_EQ(r.status().message(),
+              "cannot coerce " + Value::Double(d).ToDisplay() + " to INT");
+  }
+  Result<Value> low = Value::Double(-kTwo63).CoerceTo(FieldType::kInt);
+  ASSERT_TRUE(low.ok()) << low.status();
+  EXPECT_EQ(low->as_int(), INT64_MIN);
+  Result<Value> big = Value::Double(kTwo63 / 2).CoerceTo(FieldType::kInt);
+  ASSERT_TRUE(big.ok()) << big.status();
+  EXPECT_EQ(big->as_int(), int64_t{1} << 62);
 }
 
 }  // namespace

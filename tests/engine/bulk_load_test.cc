@@ -181,5 +181,47 @@ TEST(RebuildIndexesTest, RebuildsUniquenessProbeAfterMutableStoreLoad) {
   EXPECT_TRUE(db.StoreRecord(fresh).ok());
 }
 
+TEST(RebuildIndexesTest, LowCardinalityFieldProbesLikeAScan) {
+  // 1,200 EMPs over three DEPT-NAME keys: every bucket holds one inline id
+  // and several hundred more. Both index builds (EnsureFieldIndex on first
+  // use, RebuildIndexes after it) must answer each key with the ids a scan
+  // keeps, ascending, and charge one index_hit per id.
+  Database db = MakeDatabase(CompanyDdl());
+  const char* const kDepts[] = {"SALES", "PLANS", "TOOLS"};
+  ExtentTable table("EMP", {"EMP-NAME", "DEPT-NAME", "AGE"},
+                    {FieldType::kString, FieldType::kString, FieldType::kInt});
+  for (int i = 0; i < 1200; ++i) {
+    // Keys recur in an irregular pattern, not in runs, 400 ids each.
+    table.AppendRow(0, {Value::String("E" + std::to_string(i)),
+                        Value::String(kDepts[(i + i / 3 + i / 11) % 3]),
+                        Value::Int(20 + i % 40)});
+  }
+  ASSERT_TRUE(db.BulkLoad(table).ok());
+  ASSERT_TRUE(db.EnsureFieldIndex("EMP", "DEPT-NAME"));
+  for (int build = 0; build < 2; ++build) {
+    SCOPED_TRACE(build == 0 ? "EnsureFieldIndex" : "RebuildIndexes");
+    size_t total = 0;
+    for (const char* dept : kDepts) {
+      std::vector<RecordId> scanned;
+      for (RecordId id : db.raw_store().OfType("EMP")) {
+        if (db.raw_store().Get(id)->fields.at("DEPT-NAME").as_string() ==
+            dept) {
+          scanned.push_back(id);
+        }
+      }
+      db.ResetStats();
+      auto probed = db.ProbeIndex("EMP", "DEPT-NAME", Value::String(dept));
+      ASSERT_TRUE(probed.has_value());
+      EXPECT_EQ(*probed, scanned) << dept;
+      EXPECT_EQ(db.stats().index_probes, 1u);
+      EXPECT_EQ(db.stats().index_hits, scanned.size());
+      EXPECT_GT(scanned.size(), 350u);
+      total += scanned.size();
+    }
+    EXPECT_EQ(total, 1200u);
+    db.RebuildIndexes();
+  }
+}
+
 }  // namespace
 }  // namespace dbpc

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/textio.h"
@@ -708,6 +713,406 @@ TEST(DatabaseBindingTest, LowerCaseStoredTypeStillReads) {
   ASSERT_TRUE(all.ok()) << all.status();
   EXPECT_EQ(all->size(), 4u);
   EXPECT_EQ(db.GetField(id, "NO-SUCH").status().message(), "field emp.NO-SUCH");
+}
+
+// --- sorted placement by bisection, against a linear-scan reference -------
+//
+// Sets keyed by INT, by STRING and by (STRING, INT) place members by
+// bisection. A model kept here places them by the linear scan that the
+// bisection must reproduce, and predicts every OpStats counter of each
+// operation. Random STORE, CONNECT, DISCONNECT, MODIFY of a key and ERASE
+// steps, with nulls and duplicate keys, must leave the same positions,
+// refusals, OpStats and member order.
+
+const char* kPlacementDdl = R"(
+SCHEMA NAME IS PLACEMENT
+RECORD SECTION.
+  RECORD NAME IS O.
+  FIELDS ARE.
+    O-NAME PIC X(4).
+  END RECORD.
+  RECORD NAME IS M.
+  FIELDS ARE.
+    S PIC X(4).
+    I PIC 9(4).
+  END RECORD.
+END RECORD SECTION.
+SET SECTION.
+  SET NAME IS BY-I.
+  OWNER IS O.
+  MEMBER IS M.
+  SET KEYS ARE (I).
+  INSERTION IS MANUAL.
+  RETENTION IS OPTIONAL.
+  END SET.
+  SET NAME IS BY-S.
+  OWNER IS O.
+  MEMBER IS M.
+  SET KEYS ARE (S).
+  INSERTION IS MANUAL.
+  RETENTION IS OPTIONAL.
+  END SET.
+  SET NAME IS BY-SI.
+  OWNER IS O.
+  MEMBER IS M.
+  SET KEYS ARE (S, I).
+  INSERTION IS MANUAL.
+  RETENTION IS OPTIONAL.
+  END SET.
+END SET SECTION.
+END SCHEMA.
+)";
+
+void ExpectSameStats(const OpStats& got, const OpStats& want) {
+  EXPECT_EQ(got.records_read, want.records_read);
+  EXPECT_EQ(got.records_written, want.records_written);
+  EXPECT_EQ(got.records_erased, want.records_erased);
+  EXPECT_EQ(got.members_scanned, want.members_scanned);
+  EXPECT_EQ(got.links_changed, want.links_changed);
+  EXPECT_EQ(got.index_probes, want.index_probes);
+  EXPECT_EQ(got.index_hits, want.index_hits);
+}
+
+/// The reference: each live M's key fields, and each occurrence's members
+/// in the order the linear scan places them.
+class PlacementModel {
+ public:
+  static constexpr size_t kSets = 3;
+  static const char* SetName(size_t set) {
+    static const char* const kNames[kSets] = {"BY-I", "BY-S", "BY-SI"};
+    return kNames[set];
+  }
+
+  struct Placement {
+    bool duplicate = false;
+    size_t pos = 0;
+    uint64_t scanned = 0;  // members compared, as the scan charges them
+  };
+
+  /// Where `member` with `fields` lands in `owner`'s occurrence of `set`,
+  /// passing over its own entry when `replace`.
+  Placement Place(size_t set, RecordId owner, RecordId member,
+                  const FieldMap& fields, bool replace) const {
+    Placement out;
+    auto occ = members_.find({set, owner});
+    if (occ == members_.end()) return out;
+    for (RecordId m : occ->second) {
+      if (replace && m == member) continue;
+      ++out.scanned;
+      int cmp = Compare(set, rows_.at(m), fields);
+      if (cmp == 0) {
+        out.duplicate = true;
+        return out;
+      }
+      if (cmp > 0) return out;
+      ++out.pos;
+    }
+    return out;
+  }
+
+  static bool KeyChanged(size_t set, const FieldMap& before,
+                         const FieldMap& after) {
+    return Compare(set, before, after) != 0;
+  }
+
+  std::map<RecordId, FieldMap>& rows() { return rows_; }
+  std::vector<RecordId>& Occurrence(size_t set, RecordId owner) {
+    return members_[{set, owner}];
+  }
+  /// Owner of `member` in `set`, or 0.
+  RecordId OwnerOf(size_t set, RecordId member) const {
+    for (const auto& [key, members] : members_) {
+      if (key.first != set) continue;
+      for (RecordId m : members) {
+        if (m == member) return key.second;
+      }
+    }
+    return 0;
+  }
+  void Unlink(size_t set, RecordId member) {
+    std::vector<RecordId>& members = Occurrence(set, OwnerOf(set, member));
+    members.erase(std::find(members.begin(), members.end(), member));
+  }
+
+  void ExpectMatches(const Database& db,
+                     const std::vector<RecordId>& owners) const {
+    for (size_t set = 0; set < kSets; ++set) {
+      for (RecordId owner : owners) {
+        auto occ = members_.find({set, owner});
+        EXPECT_EQ(db.raw_store().Members(SetName(set), owner),
+                  occ == members_.end() ? std::vector<RecordId>()
+                                        : occ->second)
+            << SetName(set) << " of owner " << owner;
+      }
+    }
+  }
+
+ private:
+  static int Compare(size_t set, const FieldMap& a, const FieldMap& b) {
+    static const std::vector<std::string> kKeys[kSets] = {
+        {"I"}, {"S"}, {"S", "I"}};
+    for (const std::string& key : kKeys[set]) {
+      int cmp = a.at(key).Compare(b.at(key));
+      if (cmp != 0) return cmp;
+    }
+    return 0;
+  }
+
+  std::map<RecordId, FieldMap> rows_;
+  std::map<std::pair<size_t, RecordId>, std::vector<RecordId>> members_;
+};
+
+std::string DuplicateIn(size_t set) {
+  return std::string("duplicate set key in occurrence of ") +
+         PlacementModel::SetName(set);
+}
+
+TEST(SortedPlacementTest, BisectionMatchesALinearScanReference) {
+  Database db = MakeDatabase(kPlacementDdl);
+  for (size_t set = 0; set < PlacementModel::kSets; ++set) {
+    ASSERT_TRUE(SortedSetBisects(
+        db.schema(), *db.schema().FindSet(PlacementModel::SetName(set))));
+  }
+  std::vector<RecordId> owners;
+  for (const char* name : {"O1", "O2"}) {
+    owners.push_back(
+        *db.StoreRecord({"O", {{"O-NAME", Value::String(name)}}, {}}));
+  }
+  PlacementModel model;
+  std::mt19937 rng(1979);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  // 12 strings and 240 ints, null included: BY-S fills up and refuses most
+  // placements, while BY-I and BY-SI grow occurrences of a few hundred.
+  auto random_s = [&] {
+    size_t k = pick(13);
+    return k == 0 ? Value() : Value::String("K" + std::to_string(100 + k));
+  };
+  auto random_i = [&] {
+    size_t k = pick(241);
+    return k == 0 ? Value() : Value::Int(static_cast<int64_t>(k) - 12);
+  };
+  auto random_live = [&] {
+    auto it = model.rows().begin();
+    std::advance(it, static_cast<long>(pick(model.rows().size())));
+    return it->first;
+  };
+  size_t bisected_refusals = 0;
+  for (int step = 0; step < 10000; ++step) {
+    const size_t roll = pick(100);
+    OpStats want;
+    Status status;
+    std::string expected_refusal;  // empty: expect success
+    db.ResetStats();
+    if (roll < 50 || model.rows().empty()) {
+      // STORE into a random subset of the sets.
+      FieldMap fields = {{"S", random_s()}, {"I", random_i()}};
+      std::map<std::string, RecordId> connect;
+      std::vector<std::pair<size_t, RecordId>> links;
+      for (size_t set = 0; set < PlacementModel::kSets; ++set) {
+        if (pick(3) == 0) continue;
+        RecordId owner = owners[pick(owners.size())];
+        connect[PlacementModel::SetName(set)] = owner;
+        links.emplace_back(set, owner);
+      }
+      want.records_written = 1;
+      std::vector<size_t> positions;
+      for (const auto& [set, owner] : links) {
+        PlacementModel::Placement p =
+            model.Place(set, owner, 0, fields, /*replace=*/false);
+        want.members_scanned += p.scanned;
+        if (p.duplicate) {
+          expected_refusal = DuplicateIn(set);
+          break;
+        }
+        ++want.links_changed;
+        positions.push_back(p.pos);
+      }
+      Result<RecordId> id = db.StoreRecord({"M", fields, connect});
+      status = id.status();
+      if (id.ok() && expected_refusal.empty()) {
+        model.rows()[*id] = fields;
+        for (size_t l = 0; l < links.size(); ++l) {
+          std::vector<RecordId>& occ =
+              model.Occurrence(links[l].first, links[l].second);
+          occ.insert(occ.begin() + static_cast<long>(positions[l]), *id);
+        }
+      }
+    } else if (roll < 62) {
+      // CONNECT, members included: a member of the same occurrence meets
+      // its own key and is refused as a duplicate; of another one, the
+      // link itself is refused.
+      RecordId m = random_live();
+      size_t set = pick(PlacementModel::kSets);
+      RecordId owner = owners[pick(owners.size())];
+      PlacementModel::Placement p =
+          model.Place(set, owner, m, model.rows()[m], /*replace=*/false);
+      want.members_scanned = p.scanned;
+      status = db.Connect(PlacementModel::SetName(set), m, owner);
+      if (p.duplicate) {
+        expected_refusal = DuplicateIn(set);
+      } else if (model.OwnerOf(set, m) != 0) {
+        EXPECT_EQ(status.code(), StatusCode::kAlreadyExists);
+        status = Status::OK();
+      } else {
+        want.links_changed = 1;
+        std::vector<RecordId>& occ = model.Occurrence(set, owner);
+        occ.insert(occ.begin() + static_cast<long>(p.pos), m);
+      }
+    } else if (roll < 70) {
+      // DISCONNECT.
+      RecordId m = random_live();
+      size_t set = pick(PlacementModel::kSets);
+      status = db.Disconnect(PlacementModel::SetName(set), m);
+      if (model.OwnerOf(set, m) == 0) {
+        EXPECT_EQ(status.code(), StatusCode::kNotFound);
+        status = Status::OK();
+      } else {
+        want.links_changed = 1;
+        model.Unlink(set, m);
+      }
+    } else if (roll < 95) {
+      // MODIFY one key field or both.
+      RecordId m = random_live();
+      FieldMap updates;
+      const size_t which = pick(3);
+      if (which != 1) updates["S"] = random_s();
+      if (which != 0) updates["I"] = random_i();
+      FieldMap next = model.rows()[m];
+      for (const auto& [name, value] : updates) next[name] = value;
+      std::vector<std::pair<size_t, size_t>> moves;  // (set, position)
+      for (size_t set = 0; set < PlacementModel::kSets; ++set) {
+        RecordId owner = model.OwnerOf(set, m);
+        if (owner == 0 ||
+            !PlacementModel::KeyChanged(set, model.rows()[m], next)) {
+          continue;
+        }
+        PlacementModel::Placement p =
+            model.Place(set, owner, m, next, /*replace=*/true);
+        want.members_scanned += p.scanned;
+        if (p.duplicate) {
+          expected_refusal = DuplicateIn(set);
+          break;
+        }
+        moves.emplace_back(set, p.pos);
+      }
+      status = db.ModifyRecord(m, updates);
+      if (expected_refusal.empty()) {
+        want.records_written = 1;
+        for (const auto& [set, pos] : moves) {
+          RecordId owner = model.OwnerOf(set, m);
+          model.Unlink(set, m);
+          std::vector<RecordId>& occ = model.Occurrence(set, owner);
+          occ.insert(occ.begin() + static_cast<long>(pos), m);
+          want.links_changed += 2;
+        }
+        model.rows()[m] = next;
+      }
+    } else {
+      // ERASE.
+      RecordId m = random_live();
+      for (size_t set = 0; set < PlacementModel::kSets; ++set) {
+        if (model.OwnerOf(set, m) == 0) continue;
+        model.Unlink(set, m);
+        ++want.links_changed;
+      }
+      want.records_erased = 1;
+      model.rows().erase(m);
+      status = db.EraseRecord(m);
+    }
+    want.records_read = 2 * want.members_scanned;
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (expected_refusal.empty()) {
+      ASSERT_TRUE(status.ok()) << status;
+    } else {
+      ASSERT_EQ(status.code(), StatusCode::kConstraintViolation) << status;
+      ASSERT_EQ(status.message(), expected_refusal);
+      ++bisected_refusals;
+    }
+    ExpectSameStats(db.stats(), want);
+    model.ExpectMatches(db, owners);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The walk reached refusals and long occurrences, not only easy cases.
+  EXPECT_GT(bisected_refusals, 1000u);
+  for (size_t set : {size_t{0}, size_t{2}}) {
+    for (RecordId owner : owners) {
+      EXPECT_GT(model.Occurrence(set, owner).size(), 100u)
+          << PlacementModel::SetName(set);
+    }
+  }
+}
+
+TEST(SortedPlacementTest, SetsKeyedByDoubleKeepTheScan) {
+  // Keys (A DOUBLE, B INT). NaN compares equal to every number, so after
+  // (1,5), (2,3) and (NaN,4) the occurrence is [(NaN,4), (1,5), (2,3)],
+  // which is not in key order: placing (3,2), the scan stops at (NaN,4),
+  // which sorts after it on B, while a bisection would answer 3.
+  Database db = MakeDatabase(R"(
+SCHEMA NAME IS DOUBLEKEYS
+RECORD SECTION.
+  RECORD NAME IS O.
+  FIELDS ARE.
+    O-NAME PIC X(4).
+  END RECORD.
+  RECORD NAME IS M.
+  FIELDS ARE.
+    A PIC F(8).
+    B PIC 9(4).
+  END RECORD.
+END RECORD SECTION.
+SET SECTION.
+  SET NAME IS O-M.
+  OWNER IS O.
+  MEMBER IS M.
+  SET KEYS ARE (A, B).
+  END SET.
+END SET SECTION.
+END SCHEMA.
+)");
+  EXPECT_FALSE(SortedSetBisects(db.schema(), *db.schema().FindSet("O-M")));
+  RecordId o = *db.StoreRecord({"O", {{"O-NAME", Value::String("O")}}, {}});
+  auto store = [&](double a, int64_t b) {
+    db.ResetStats();
+    Result<RecordId> id = db.StoreRecord(
+        {"M", {{"A", Value::Double(a)}, {"B", Value::Int(b)}}, {{"O-M", o}}});
+    EXPECT_TRUE(id.ok()) << id.status();
+    return id.ok() ? *id : 0;
+  };
+  RecordId m15 = store(1, 5);
+  RecordId m23 = store(2, 3);
+  RecordId nan4 = store(std::nan(""), 4);
+  ASSERT_EQ(db.raw_store().Members("O-M", o),
+            (std::vector<RecordId>{nan4, m15, m23}));
+  RecordId m32 = store(3, 2);
+  EXPECT_EQ(db.raw_store().Members("O-M", o),
+            (std::vector<RecordId>{m32, nan4, m15, m23}));
+  EXPECT_EQ(db.stats().members_scanned, 1u);
+  EXPECT_EQ(db.stats().records_read, 2u);
+}
+
+TEST(SortedPlacementTest, BisectsOnlyIntAndStringKeysWithTypedDefaults) {
+  Schema schema = MakeDatabase(kPlacementDdl).schema();
+  EXPECT_TRUE(SortedSetBisects(schema, *schema.FindSet("BY-SI")));
+  // A default that contradicts the declared type is stored as written, so
+  // the key could mix ints and doubles: those sets keep the scan.
+  auto default_of_i = [&schema]() -> Value& {
+    for (FieldDef& f : schema.FindRecordType("M")->fields) {
+      if (f.name == "I") return f.default_value;
+    }
+    ADD_FAILURE() << "no field I";
+    static Value none;
+    return none;
+  };
+  default_of_i() = Value::Double(1.5);
+  EXPECT_FALSE(SortedSetBisects(schema, *schema.FindSet("BY-I")));
+  EXPECT_FALSE(SortedSetBisects(schema, *schema.FindSet("BY-SI")));
+  EXPECT_TRUE(SortedSetBisects(schema, *schema.FindSet("BY-S")));
+  default_of_i() = Value::Int(7);
+  EXPECT_TRUE(SortedSetBisects(schema, *schema.FindSet("BY-I")));
+  // Chronological sets never place by key.
+  schema.FindSet("BY-I")->keys.clear();
+  schema.FindSet("BY-I")->ordering = SetOrdering::kChronological;
+  EXPECT_FALSE(SortedSetBisects(schema, *schema.FindSet("BY-I")));
 }
 
 }  // namespace

@@ -278,5 +278,78 @@ TEST(IndexTest, MembersRefMatchesMembersAndCountsScans) {
   EXPECT_EQ(db.Members("DIV-EMP", divs[0]), borrowed);
 }
 
+// --- index buckets: the smallest id inline, the rest in a sorted vector ---
+
+/// Stores one EMP named `name` into a DIV of its own (set keys are unique
+/// per occurrence, the EMP-NAME index spans every EMP).
+RecordId StoreEmpInOwnDiv(Database* db, const std::string& name) {
+  static int divisions = 0;
+  RecordId div = *db->StoreRecord(
+      {"DIV",
+       {{"DIV-NAME", Value::String("D" + std::to_string(++divisions))}},
+       {}});
+  Result<RecordId> emp = db->StoreRecord(
+      {"EMP", {{"EMP-NAME", Value::String(name)}}, {{"DIV-EMP", div}}});
+  EXPECT_TRUE(emp.ok()) << emp.status();
+  return emp.ok() ? *emp : 0;
+}
+
+std::optional<std::vector<RecordId>> ProbeName(const Database& db,
+                                               const std::string& name) {
+  return db.ProbeIndex("EMP", "EMP-NAME", Value::String(name));
+}
+
+using Ids = std::vector<RecordId>;
+
+TEST(IndexBucketTest, IdsStayAscendingWhenTheInlineIdIsErased) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId e1 = StoreEmpInOwnDiv(&db, "SAME");
+  RecordId e2 = StoreEmpInOwnDiv(&db, "SAME");
+  RecordId e3 = StoreEmpInOwnDiv(&db, "SAME");
+  RecordId e4 = StoreEmpInOwnDiv(&db, "SAME");
+  EXPECT_EQ(ProbeName(db, "SAME"), std::make_optional(Ids{e1, e2, e3, e4}));
+  // e1 is the inline id; e2 takes its place, the others stay in order.
+  ASSERT_TRUE(db.EraseRecord(e1).ok());
+  EXPECT_EQ(ProbeName(db, "SAME"), std::make_optional(Ids{e2, e3, e4}));
+  ASSERT_TRUE(db.EraseRecord(e3).ok());
+  EXPECT_EQ(ProbeName(db, "SAME"), std::make_optional(Ids{e2, e4}));
+  ASSERT_TRUE(db.EraseRecord(e2).ok());
+  EXPECT_EQ(ProbeName(db, "SAME"), std::make_optional(Ids{e4}));
+  db.ResetStats();
+  ASSERT_TRUE(db.EraseRecord(e4).ok());
+  EXPECT_EQ(ProbeName(db, "SAME"), std::make_optional(Ids{}));
+  EXPECT_EQ(db.stats().index_hits, 0u);
+  // The emptied key takes a record again.
+  RecordId e5 = StoreEmpInOwnDiv(&db, "SAME");
+  EXPECT_EQ(ProbeName(db, "SAME"), std::make_optional(Ids{e5}));
+}
+
+TEST(IndexBucketTest, ModifyMovesAnIdBetweenKeys) {
+  Database db = MakeDatabase(testing::CompanyDdl());
+  RecordId e1 = StoreEmpInOwnDiv(&db, "ONE");
+  RecordId e2 = StoreEmpInOwnDiv(&db, "TWO");
+  RecordId e3 = StoreEmpInOwnDiv(&db, "TWO");
+  RecordId e4 = StoreEmpInOwnDiv(&db, "TWO");
+  // The smallest id joins a key: it becomes the inline id, and the old
+  // inline id moves into the sorted rest.
+  ASSERT_TRUE(db.ModifyRecord(e1, {{"EMP-NAME", Value::String("TWO")}}).ok());
+  EXPECT_EQ(ProbeName(db, "ONE"), std::make_optional(Ids{}));
+  EXPECT_EQ(ProbeName(db, "TWO"), std::make_optional(Ids{e1, e2, e3, e4}));
+  // A middle id leaves, then comes back between its neighbours.
+  ASSERT_TRUE(db.ModifyRecord(e3, {{"EMP-NAME", Value::String("ONE")}}).ok());
+  EXPECT_EQ(ProbeName(db, "ONE"), std::make_optional(Ids{e3}));
+  EXPECT_EQ(ProbeName(db, "TWO"), std::make_optional(Ids{e1, e2, e4}));
+  ASSERT_TRUE(db.ModifyRecord(e3, {{"EMP-NAME", Value::String("TWO")}}).ok());
+  EXPECT_EQ(ProbeName(db, "TWO"), std::make_optional(Ids{e1, e2, e3, e4}));
+  // The inline id leaves while others remain.
+  ASSERT_TRUE(db.ModifyRecord(e1, {{"EMP-NAME", Value::String("ONE")}}).ok());
+  EXPECT_EQ(ProbeName(db, "ONE"), std::make_optional(Ids{e1}));
+  EXPECT_EQ(ProbeName(db, "TWO"), std::make_optional(Ids{e2, e3, e4}));
+  // A rebuild from the store reaches the same buckets.
+  db.RebuildIndexes();
+  EXPECT_EQ(ProbeName(db, "ONE"), std::make_optional(Ids{e1}));
+  EXPECT_EQ(ProbeName(db, "TWO"), std::make_optional(Ids{e2, e3, e4}));
+}
+
 }  // namespace
 }  // namespace dbpc

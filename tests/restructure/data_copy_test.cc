@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -891,6 +893,52 @@ TEST(CopyDatabaseTest, EveryChronologicalSetKeepsItsOrder) {
     }
     EXPECT_EQ(*DumpDatabaseText(target), *DumpDatabaseText(source));
   }
+}
+
+TEST(CopyDatabaseTest, BothEnginesPlaceALongSortedOccurrenceIdentically) {
+  // One DIV-EMP occurrence of 1,201 members arriving out of key order
+  // (chronological in the source, a null name first in key order), so
+  // every placement in the key-sorted target searches a long occurrence.
+  Schema schema = testing::MakeDatabase(testing::CompanyDdl()).schema();
+  schema.FindSet("DIV-EMP")->keys.clear();
+  schema.FindSet("DIV-EMP")->ordering = SetOrdering::kChronological;
+  Database source = *Database::Create(schema);
+  RecordId div = *source.StoreRecord(
+      {"DIV", {{"DIV-NAME", Value::String("BIG")}}, {}});
+  std::vector<std::string> expected;
+  for (int i = 0; i < 1200; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "E%04d", (i * 7919) % 1200);
+    expected.push_back(name);
+    ASSERT_TRUE(source
+                    .StoreRecord({"EMP",
+                                  {{"EMP-NAME", Value::String(name)},
+                                   {"AGE", Value::Int(i % 50)}},
+                                  {{"DIV-EMP", div}}})
+                    .ok());
+  }
+  ASSERT_TRUE(source.StoreRecord({"EMP", {}, {{"DIV-EMP", div}}}).ok());
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> dumps;
+  for (DataCopyEngine engine : kBothEngines) {
+    ScopedDataCopyEngine scoped(engine);
+    Database target = testing::MakeDatabase(testing::CompanyDdl());
+    Result<std::map<RecordId, RecordId>> map =
+        CopyDatabase(source, &target, CopySpec{});
+    ASSERT_TRUE(map.ok()) << map.status();
+    std::vector<RecordId> members =
+        target.raw_store().Members("DIV-EMP", map->at(div));
+    ASSERT_EQ(members.size(), 1201u);
+    EXPECT_TRUE(target.GetField(members[0], "EMP-NAME")->is_null());
+    members.erase(members.begin());
+    std::vector<std::string> names;
+    for (RecordId m : members) {
+      names.push_back(target.GetField(m, "EMP-NAME")->as_string());
+    }
+    EXPECT_EQ(names, expected);
+    dumps.push_back(*DumpDatabaseText(target));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 }  // namespace

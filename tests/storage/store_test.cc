@@ -515,5 +515,92 @@ TEST(StoreTest, DirectoryMatchesAReferenceModelUnderRandomOperations) {
   }
 }
 
+// --- Unlink's bisection, and the bulk linker's positional Link ----------
+
+TEST(StoreUnlinkTest, FindsAMemberOfAnAscendingOccurrenceAndKeepsOrder) {
+  Store store;
+  RecordId owner = store.Insert("O", {});
+  std::vector<RecordId> members;
+  for (int i = 0; i < 9; ++i) {
+    members.push_back(store.Insert("M", {}));
+    ASSERT_TRUE(store.LinkLast("S", owner, members.back()).ok());
+  }
+  // First, last and middle entries: each found where the ids ascend.
+  for (size_t at : {size_t{0}, size_t{7}, size_t{3}}) {
+    RecordId m = members[at];
+    ASSERT_TRUE(store.Unlink("S", m).ok());
+    members.erase(members.begin() + static_cast<long>(at));
+    EXPECT_EQ(store.Members("S", owner), members);
+    EXPECT_FALSE(store.IsMember("S", m));
+  }
+  EXPECT_EQ(store.Unlink("S", members[0] + 100).code(),
+            StatusCode::kNotFound);
+}
+
+TEST(StoreUnlinkTest, FallsBackToAScanOutOfIdOrder) {
+  Store store;
+  RecordId owner = store.Insert("O", {});
+  std::vector<RecordId> m;
+  for (int i = 0; i < 5; ++i) {
+    m.push_back(store.Insert("M", {}));
+    ASSERT_TRUE(store.LinkLast("S", owner, m.back()).ok());
+  }
+  // Disconnect and reconnect an early member: [m0 m2 m3 m4 m1].
+  ASSERT_TRUE(store.Unlink("S", m[1]).ok());
+  ASSERT_TRUE(store.LinkLast("S", owner, m[1]).ok());
+  ASSERT_EQ(store.Members("S", owner),
+            (std::vector<RecordId>{m[0], m[2], m[3], m[4], m[1]}));
+  // Bisecting for m1 lands on m2; the scan finds m1 at the end.
+  ASSERT_TRUE(store.Unlink("S", m[1]).ok());
+  EXPECT_EQ(store.Members("S", owner),
+            (std::vector<RecordId>{m[0], m[2], m[3], m[4]}));
+  // Key order unlike id order: [m4 m3 m2 m0], every member removable.
+  Store sorted;
+  RecordId o = sorted.Insert("O", {});
+  std::vector<RecordId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(sorted.Insert("M", {}));
+  for (RecordId id : ids) ASSERT_TRUE(sorted.Link("S", o, id, 0).ok());
+  ASSERT_TRUE(sorted.Unlink("S", ids[1]).ok());
+  EXPECT_EQ(sorted.Members("S", o),
+            (std::vector<RecordId>{ids[3], ids[2], ids[0]}));
+  ASSERT_TRUE(sorted.Unlink("S", ids[3]).ok());
+  ASSERT_TRUE(sorted.Unlink("S", ids[0]).ok());
+  EXPECT_EQ(sorted.Members("S", o), (std::vector<RecordId>{ids[2]}));
+}
+
+TEST(StoreBulkLinkerTest, PositionalLinkMatchesStoreLink) {
+  Store linked;
+  Store reference;
+  for (Store* store : {&linked, &reference}) {
+    for (int i = 0; i < 6; ++i) store->Insert("M", {});
+  }
+  const RecordId o1 = linked.Insert("O", {});
+  const RecordId o2 = reference.Insert("O", {});
+  ASSERT_EQ(o1, o2);
+  Store::BulkLinker linker = linked.LinkerFor("S", 6);
+  struct Step {
+    RecordId owner;
+    RecordId member;
+    size_t position;
+  };
+  // Front, back, middle, beyond the end (clamped) and a second owner.
+  for (const Step& step : {Step{o1, 1, 0}, Step{o1, 2, 0}, Step{o1, 3, 2},
+                           Step{o1, 4, 1}, Step{o1, 5, 99},
+                           Step{kSystemOwner, 6, 0}}) {
+    ASSERT_TRUE(linker.Link(step.owner, step.member, step.position).ok());
+    ASSERT_TRUE(
+        reference.Link("S", step.owner, step.member, step.position).ok());
+    EXPECT_EQ(linker.Members(step.owner), reference.Members("S", step.owner));
+  }
+  EXPECT_EQ(linked.Members("S", o1), reference.Members("S", o1));
+  EXPECT_EQ(linked.OwnerOf("S", 4), o1);
+  // The already-a-member refusal, text included.
+  Status again = linker.Link(kSystemOwner, 3, 0);
+  EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(again.message(), reference.Link("S", kSystemOwner, 3, 0).message());
+  EXPECT_EQ(linked.Members("S", o1), reference.Members("S", o1));
+  EXPECT_EQ(linker.Members(kSystemOwner), (std::vector<RecordId>{6}));
+}
+
 }  // namespace
 }  // namespace dbpc

@@ -4,8 +4,9 @@
 # a dbpcd end-to-end smoke, then the concurrency-sensitive service and
 # daemon tests again under ThreadSanitizer, the storage, engine, sorting,
 # dump, data-copy, transformation, facade and wire-facing tests under
-# AddressSanitizer, and the store, database, index, sorting, relational and
-# wire-facing tests under UndefinedBehaviorSanitizer.
+# AddressSanitizer, and the value, store, database, index, bulk-load,
+# sorting, data-copy, relational and wire-facing tests under
+# UndefinedBehaviorSanitizer with float-cast-overflow checking on.
 #
 #   tools/check.sh [jobs]
 #
@@ -182,16 +183,23 @@ cmake --build build-asan -j "$JOBS" \
 # database and index tests erase through it, so UBSan checks those shifts
 # and masks as well as the wire parsers. The find-query, value-join and
 # relational tests (ORDER BY shares SortRecords) index the sort's flat key
-# array by row times key count.
-echo "== ubsan: store, database, index, sorting, relational and wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
+# array by row times key count. The database, data-copy and bulk-load
+# tests bisect sorted occurrences, link through the bulk linker's
+# positional Link and fill the index buckets; the value test coerces
+# doubles outside int64's range, which float-cast-overflow would catch if
+# the range check were lost.
+echo "== ubsan: value, store, database, index, bulk-load, sorting, data-copy, relational and wire tests under -DDBPC_SANITIZE=undefined (build-ubsan/) =="
 cmake -B build-ubsan -S . -DDBPC_SANITIZE=undefined >/dev/null
 # shellcheck disable=SC2086  # WIRE_TESTS is a word list
 cmake --build build-ubsan -j "$JOBS" \
-  --target store_test database_test index_test find_query_test \
-           value_join_test relational_test $WIRE_TESTS
+  --target value_test store_test database_test index_test bulk_load_test \
+           find_query_test value_join_test data_copy_test relational_test \
+           $WIRE_TESTS
+(cd build-ubsan/tests/common && ./value_test)
 (cd build-ubsan/tests/storage && ./store_test)
 (cd build-ubsan/tests/engine && ./database_test && ./index_test \
-  && ./find_query_test && ./value_join_test)
+  && ./bulk_load_test && ./find_query_test && ./value_join_test)
+(cd build-ubsan/tests/restructure && ./data_copy_test)
 (cd build-ubsan/tests/relational && ./relational_test)
 (cd build-ubsan/tests/daemon && for t in $WIRE_TESTS; do ./"$t" || exit 1; done)
 
